@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <string>
+#include <type_traits>
 
 #include "ag/graph_ops.hpp"
 #include "ag/ops.hpp"
@@ -19,10 +20,33 @@ namespace {
 // tape ops (ag::matmul is zeros + matmul_acc; ag::add_bias / relu / elu
 // apply the same scalar expressions) without the per-op allocation.
 
-/// out = x · w into a preallocated view.
-void linear_into(const Tensor& x, const Tensor& w, Tensor& out) {
+/// out = x · w into a preallocated view; x and w at either storage type.
+template <class X, class W>
+void linear_into(const X& x, const W& w, Tensor& out) {
   out.zero_();
   ops::matmul_acc(x, w, out);
+}
+
+/// Storage point: the fp32 product `x` as a stored activation. At fp32
+/// that is `x` itself (no copy); a half plan quantizes it into `slab`.
+const Tensor& stored(const Tensor& x, const Tensor& /*slab*/) { return x; }
+HalfBuffer stored(const Tensor& x, const HalfBuffer& slab) {
+  HalfBuffer h = slab.view_prefix(x.shape());
+  h.quantize_from(x);
+  return h;
+}
+
+/// Storage precision of a matrix: kFp32 for a Tensor.
+Precision storage_precision(const Tensor& /*t*/) { return Precision::kFp32; }
+Precision storage_precision(const HalfBuffer& h) { return h.precision(); }
+
+/// Features must be stored at the plan's precision.
+template <class Act>
+void check_storage(const Act& features, Precision plan, const char* where) {
+  GSOUP_CHECK_MSG(storage_precision(features) == plan,
+                  where << ": " << precision_name(storage_precision(features))
+                        << " features on a " << precision_name(plan)
+                        << " plan");
 }
 
 void add_bias_inplace(Tensor& x, const Tensor& bias) {
@@ -225,19 +249,35 @@ ag::Value run_train_blocks(const ModelConfig& cfg,
 
 Executor::Executor(const LayerPlan& plan, const ParamStore& params)
     : plan_(plan) {
+  const Precision prec = plan.precision();
   step_params_.reserve(plan.steps().size());
   for (const LayerStep& step : plan.steps()) {
     StepParams p;
     const auto resolve = [&](const std::string& name) -> const Tensor* {
       return name.empty() ? nullptr : &params.get(name);
     };
-    p.weight = resolve(step.weight);
-    p.weight_self = resolve(step.weight_self);
-    p.weight_neigh = resolve(step.weight_neigh);
+    const auto panel = [&](const std::string& name) -> Tensor {
+      return name.empty() ? Tensor{} : params.get(name);
+    };
+    auto& w32 = std::get<Panels<Tensor>>(p.gemm);
+    w32.weight = panel(step.weight);
+    w32.weight_self = panel(step.weight_self);
+    w32.weight_neigh = panel(step.weight_neigh);
     p.bias = resolve(step.bias);
     p.attn_dst = resolve(step.attn_dst);
     p.attn_src = resolve(step.attn_src);
-    step_params_.push_back(p);
+    // Half plans: weight panels quantized once here, so the half run_*
+    // paths allocate nothing either.
+    if (prec != Precision::kFp32) {
+      const auto quant = [&](const Tensor& t) -> HalfBuffer {
+        return t.defined() ? HalfBuffer::quantize(t, prec) : HalfBuffer{};
+      };
+      auto& w16 = std::get<Panels<HalfBuffer>>(p.gemm);
+      w16.weight = quant(w32.weight);
+      w16.weight_self = quant(w32.weight_self);
+      w16.weight_neigh = quant(w32.weight_neigh);
+    }
+    step_params_.push_back(std::move(p));
   }
 
   // Stage histograms resolved once per executor — registry lookups (and
@@ -252,32 +292,15 @@ Executor::Executor(const LayerPlan& plan, const ParamStore& params)
   }
 
   // Everything any run_* call will ever touch, allocated once from the
-  // plan's declared geometry.
+  // plan's declared geometry. Half plans add the 16-bit inter-layer slabs.
   for (auto& buf : buf_) buf = Tensor::empty({plan.layer_slab_numel()});
   if (plan.score_slab_numel() > 0) {
     score_dst_ws_ = Tensor::empty({plan.score_slab_numel()});
     score_src_ws_ = Tensor::empty({plan.score_slab_numel()});
   }
-
-  // Half plans: 16-bit inter-layer slabs plus per-step quantized weight
-  // panels, both fixed at construction — the half run_* paths allocate
-  // nothing either. Bias and attention vectors stay fp32 (they feed fp32
-  // epilogues, and at O(width) bytes there is nothing to save).
-  const Precision prec = plan.precision();
   if (prec != Precision::kFp32) {
     for (auto& buf : hbuf_) {
       buf = HalfBuffer::empty({plan.layer_slab_numel()}, prec);
-    }
-    step_half_.reserve(plan.steps().size());
-    for (const StepParams& p : step_params_) {
-      StepHalfParams hp;
-      const auto quant = [&](const Tensor* t) -> HalfBuffer {
-        return t == nullptr ? HalfBuffer{} : HalfBuffer::quantize(*t, prec);
-      };
-      hp.weight = quant(p.weight);
-      hp.weight_self = quant(p.weight_self);
-      hp.weight_neigh = quant(p.weight_neigh);
-      step_half_.push_back(std::move(hp));
     }
   }
 }
@@ -286,8 +309,13 @@ Tensor Executor::ws(int idx, std::int64_t rows, std::int64_t cols) {
   return buf_[idx].view_prefix({rows, cols});
 }
 
-HalfBuffer Executor::hws(int idx, std::int64_t rows, std::int64_t cols) {
-  return hbuf_[idx].view_prefix({rows, cols});
+template <class Act>
+Act* Executor::act_slabs() {
+  if constexpr (std::is_same_v<Act, Tensor>) {
+    return buf_;
+  } else {
+    return hbuf_;
+  }
 }
 
 std::size_t Executor::workspace_bytes() const {
@@ -302,43 +330,54 @@ std::size_t Executor::workspace_bytes() const {
   return total;
 }
 
+template <class Act>
 Tensor Executor::run_layer(const LayerStep& step, const StepParams& p,
                            std::span<const std::int64_t> indptr,
                            std::span<const std::int32_t> indices,
-                           std::span<const float> values, const Tensor& h_in,
+                           std::span<const float> values, Act& h,
                            std::int64_t num_dst, Tensor* final_out,
                            const graph::BlockedCsr* spmm_layout,
                            const graph::BlockedCsr* attn_layout) {
   const ModelConfig& cfg = plan_.config();
-  const std::int64_t num_src = h_in.shape(0);
+  const Panels<Act>& w = std::get<Panels<Act>>(p.gemm);
+  const std::int64_t num_src = h.shape(0);
 
-  // Buffer discipline: h_in occupies one of the three buffers (or is the
-  // external feature storage); `scratch` and `out` are the other two.
-  // Identity is tracked by storage, not index.
+  // Buffer discipline: h occupies one of the three activation slabs (or
+  // is the external feature storage); the layer's stored output takes the
+  // next one, GCN's stored H·W the one after. Identity is tracked by
+  // storage, not index. At fp32 the activation slabs ARE the fp32 slabs,
+  // so the fp32 output / scratch / fallback-combine roles rotate with h.
+  // A half plan's fp32 slabs hold no value across a layer boundary, so
+  // their roles stay where an external input puts them.
+  Act* slabs = act_slabs<Act>();
   int in_idx = -1;
   for (int b = 0; b < 3; ++b) {
-    if (h_in.shares_storage_with(buf_[b])) in_idx = b;
+    if (h.shares_storage_with(slabs[b])) in_idx = b;
   }
   const int out_idx = (in_idx + 1) % 3;  // in_idx == -1 maps to 0
-  const int scratch_idx = (out_idx + 1) % 3;
-  Tensor out = (step.last && final_out != nullptr)
-                   ? *final_out
-                   : ws(out_idx, num_dst, step.out_width);
+  const int extra_idx = (out_idx + 1) % 3;
+  const int f_out = std::is_same_v<Act, Tensor> ? out_idx : 0;
+  const int f_scratch = (f_out + 1) % 3;
+  Tensor out = final_out != nullptr ? *final_out
+                                    : ws(f_out, num_dst, step.out_width);
 
   switch (cfg.arch) {
     case Arch::kGcn: {
-      // H' = Â (H W) + b
-      Tensor hw = ws(scratch_idx, num_src, step.out_width);
+      // H' = Â (H W) + b. A half plan quantizes the H·W product (a
+      // storage point) so the SpMM — which re-reads each row once per
+      // incident edge — gathers 16-bit rows.
+      Tensor hw = ws(f_scratch, num_src, step.out_width);
       {
         StageTimer t(stage_hist_, Stage::kGemm);
-        linear_into(h_in, *p.weight, hw);
+        linear_into(h, w.weight, hw);
       }
       {
         StageTimer t(stage_hist_, Stage::kSpmm);
+        const Act& hw_stored = stored(hw, slabs[extra_idx]);
         if (spmm_layout != nullptr) {
-          ag::spmm_blocked_overwrite(*spmm_layout, hw, out);
+          ag::spmm_blocked_overwrite(*spmm_layout, hw_stored, out);
         } else {
-          ag::spmm_spans_overwrite(indptr, indices, values, hw, out);
+          ag::spmm_spans_overwrite(indptr, indices, values, hw_stored, out);
         }
       }
       StageTimer t(stage_hist_, Stage::kEpilogue);
@@ -361,41 +400,42 @@ Tensor Executor::run_layer(const LayerStep& step, const StepParams& p,
       // never accumulating one GEMM into the other's output, whose
       // different partial-sum order would break the bit-exact
       // train/infer parity contract. After agg and self are computed
-      // h_in is dead, so its buffer (or the third buffer when the input
-      // is external) holds neigh on the fallback path.
-      Tensor h_dst = h_in.view_prefix({num_dst, step.in_dim});
-      Tensor agg = ws(scratch_idx, num_dst, step.in_dim);
+      // h is dead, so its buffer (or the third buffer when the input is
+      // external) holds neigh on the fallback path. In a half plan the
+      // SpMM gathers 16-bit H rows into the fp32 aggregate, the neigh
+      // GEMM runs fp32 A x half W, and the self GEMM reads half A and W.
+      const Act h_dst = h.view_prefix({num_dst, step.in_dim});
+      Tensor agg = ws(f_scratch, num_dst, step.in_dim);
       {
         StageTimer t(stage_hist_, Stage::kSpmm);
         if (spmm_layout != nullptr) {
-          ag::spmm_blocked_overwrite(*spmm_layout, h_in, agg);
+          ag::spmm_blocked_overwrite(*spmm_layout, h, agg);
         } else {
-          ag::spmm_spans_overwrite(indptr, indices, values, h_in, agg);
+          ag::spmm_spans_overwrite(indptr, indices, values, h, agg);
         }
       }
       if (ops::gemm_can_combine_bias(num_dst, step.out_width, step.in_dim)) {
         StageTimer t(stage_hist_, Stage::kGemm);
-        linear_into(agg, *p.weight_neigh, out);
-        ops::matmul_combine_bias(h_dst, *p.weight_self, *p.bias, out);
+        linear_into(agg, w.weight_neigh, out);
+        ops::matmul_combine_bias(h_dst, w.weight_self, *p.bias, out);
       } else {
-        const int neigh_idx = in_idx >= 0 ? in_idx : 2;
-        Tensor neigh = ws(neigh_idx, num_dst, step.out_width);
+        Tensor neigh = ws((f_scratch + 1) % 3, num_dst, step.out_width);
         {
           StageTimer t(stage_hist_, Stage::kGemm);
-          linear_into(h_dst, *p.weight_self, out);
-          linear_into(agg, *p.weight_neigh, neigh);
+          linear_into(h_dst, w.weight_self, out);
+          linear_into(agg, w.weight_neigh, neigh);
         }
         StageTimer epilogue_timer(stage_hist_, Stage::kEpilogue);
-        const std::int64_t m = out.shape(0), w = out.shape(1);
+        const std::int64_t m = out.shape(0), n = out.shape(1);
         float* __restrict__ po = out.data();
         const float* __restrict__ pn = neigh.data();
         const float* __restrict__ pb = p.bias->data();
-#pragma omp parallel for schedule(static) if (m * w >= (1 << 15))
+#pragma omp parallel for schedule(static) if (m * n >= (1 << 15))
         for (std::int64_t i = 0; i < m; ++i) {
-          float* __restrict__ orow = po + i * w;
-          const float* __restrict__ nrow = pn + i * w;
+          float* __restrict__ orow = po + i * n;
+          const float* __restrict__ nrow = pn + i * n;
 #pragma omp simd
-          for (std::int64_t j = 0; j < w; ++j) {
+          for (std::int64_t j = 0; j < n; ++j) {
             orow[j] = (orow[j] + nrow[j]) + pb[j];
           }
         }
@@ -407,12 +447,15 @@ Tensor Executor::run_layer(const LayerStep& step, const StepParams& p,
       break;
     }
     case Arch::kGat: {
-      Tensor hw = ws(scratch_idx, num_src, step.out_width);
+      // Only the GEMM operands are stored at the plan's precision: the
+      // attention kernels read the fp32 H·W product and per-head scores,
+      // so attention numerics are untouched by precision.
+      Tensor hw = ws(f_scratch, num_src, step.out_width);
       Tensor s_src = score_src_ws_.view_prefix({num_src, step.heads});
       Tensor s_dst = score_dst_ws_.view_prefix({num_dst, step.heads});
       {
         StageTimer t(stage_hist_, Stage::kGemm);
-        linear_into(h_in, *p.weight, hw);
+        linear_into(h, w.weight, hw);
         ops::per_head_dot_into(hw, *p.attn_src, step.heads, s_src);
         Tensor hw_dst = hw.view_prefix({num_dst, step.out_width});
         ops::per_head_dot_into(hw_dst, *p.attn_dst, step.heads, s_dst);
@@ -435,155 +478,21 @@ Tensor Executor::run_layer(const LayerStep& step, const StepParams& p,
       break;
     }
   }
+  // Storage point: the activated output becomes the next layer's input —
+  // `out` itself at fp32, quantized into the next half slab otherwise.
+  if constexpr (std::is_same_v<Act, Tensor>) {
+    h = out;
+  } else if (!step.last) {
+    StageTimer t(stage_hist_, Stage::kEpilogue);
+    h = stored(out, slabs[out_idx]);
+  }
   return out;
 }
 
-HalfBuffer Executor::run_layer_half(
-    const LayerStep& step, const StepParams& p, const StepHalfParams& hp,
-    std::span<const std::int64_t> indptr,
-    std::span<const std::int32_t> indices, std::span<const float> values,
-    const HalfBuffer& h_in, std::int64_t num_dst, Tensor* final_out,
-    const graph::BlockedCsr* spmm_layout,
-    const graph::BlockedCsr* attn_layout) {
-  const ModelConfig& cfg = plan_.config();
-  const std::int64_t num_src = h_in.shape(0);
-  GSOUP_CHECK_MSG(!step.last || final_out != nullptr,
-                  "half lowering needs an fp32 destination for the last "
-                  "layer's logits");
-
-  // Buffer discipline, half edition: the 16-bit slabs carry inter-layer
-  // activations (h_in occupies one, the quantized output another, GCN's
-  // quantized H·W a third), while the fp32 slabs are pure intra-layer
-  // scratch — no value crosses a layer boundary at fp32, so their
-  // indices are fixed: 0 scratch, 1 layer output, 2 fallback-combine.
-  int in_idx = -1;
-  for (int b = 0; b < 3; ++b) {
-    if (h_in.shares_storage_with(hbuf_[b])) in_idx = b;
-  }
-  const int out_idx = (in_idx + 1) % 3;
-  const int extra_idx = (out_idx + 1) % 3;
-  Tensor out_f =
-      step.last ? *final_out : ws(1, num_dst, step.out_width);
-
-  switch (cfg.arch) {
-    case Arch::kGcn: {
-      // H' = Â (H W) + b: GEMM at half A and half W panels into fp32,
-      // then the product quantizes so the SpMM — which re-reads each row
-      // once per incident edge — gathers 16-bit rows.
-      Tensor hw = ws(0, num_src, step.out_width);
-      {
-        StageTimer t(stage_hist_, Stage::kGemm);
-        hw.zero_();
-        ops::matmul_acc(h_in, hp.weight, hw);
-      }
-      HalfBuffer hw16 = hws(extra_idx, num_src, step.out_width);
-      {
-        StageTimer t(stage_hist_, Stage::kSpmm);
-        hw16.quantize_from(hw);
-        if (spmm_layout != nullptr) {
-          ag::spmm_blocked_overwrite(*spmm_layout, hw16, out_f);
-        } else {
-          ag::spmm_spans_overwrite(indptr, indices, values, hw16, out_f);
-        }
-      }
-      StageTimer t(stage_hist_, Stage::kEpilogue);
-      add_bias_inplace(out_f, *p.bias);
-      if (!step.last) relu_inplace(out_f);
-      break;
-    }
-    case Arch::kSage: {
-      // Same structure and float order as the fp32 lowering: the SpMM
-      // gathers 16-bit H rows into an fp32 aggregate, the neigh GEMM
-      // runs fp32 A x half W, and the self GEMM reads half A and half W
-      // — fused with the (self + neigh) + bias store when the
-      // contraction fits one k-panel.
-      HalfBuffer h_dst = h_in.view_prefix({num_dst, step.in_dim});
-      Tensor agg = ws(0, num_dst, step.in_dim);
-      {
-        StageTimer t(stage_hist_, Stage::kSpmm);
-        if (spmm_layout != nullptr) {
-          ag::spmm_blocked_overwrite(*spmm_layout, h_in, agg);
-        } else {
-          ag::spmm_spans_overwrite(indptr, indices, values, h_in, agg);
-        }
-      }
-      if (ops::gemm_can_combine_bias(num_dst, step.out_width, step.in_dim)) {
-        StageTimer t(stage_hist_, Stage::kGemm);
-        out_f.zero_();
-        ops::matmul_acc(agg, hp.weight_neigh, out_f);
-        ops::matmul_combine_bias(h_dst, hp.weight_self, *p.bias, out_f);
-      } else {
-        Tensor neigh = ws(2, num_dst, step.out_width);
-        {
-          StageTimer t(stage_hist_, Stage::kGemm);
-          out_f.zero_();
-          ops::matmul_acc(h_dst, hp.weight_self, out_f);
-          neigh.zero_();
-          ops::matmul_acc(agg, hp.weight_neigh, neigh);
-        }
-        StageTimer epilogue_timer(stage_hist_, Stage::kEpilogue);
-        const std::int64_t m = out_f.shape(0), w = out_f.shape(1);
-        float* __restrict__ po = out_f.data();
-        const float* __restrict__ pn = neigh.data();
-        const float* __restrict__ pb = p.bias->data();
-#pragma omp parallel for schedule(static) if (m * w >= (1 << 15))
-        for (std::int64_t i = 0; i < m; ++i) {
-          float* __restrict__ orow = po + i * w;
-          const float* __restrict__ nrow = pn + i * w;
-#pragma omp simd
-          for (std::int64_t j = 0; j < w; ++j) {
-            orow[j] = (orow[j] + nrow[j]) + pb[j];
-          }
-        }
-      }
-      if (!step.last) {
-        StageTimer t(stage_hist_, Stage::kEpilogue);
-        relu_inplace(out_f);
-      }
-      break;
-    }
-    case Arch::kGat: {
-      // Only the GEMM operands go half: the attention kernels re-read
-      // the fp32 H·W product and per-head scores exactly as the fp32
-      // lowering does, so attention numerics are untouched by precision.
-      Tensor hw = ws(0, num_src, step.out_width);
-      Tensor s_src = score_src_ws_.view_prefix({num_src, step.heads});
-      Tensor s_dst = score_dst_ws_.view_prefix({num_dst, step.heads});
-      {
-        StageTimer t(stage_hist_, Stage::kGemm);
-        hw.zero_();
-        ops::matmul_acc(h_in, hp.weight, hw);
-        ops::per_head_dot_into(hw, *p.attn_src, step.heads, s_src);
-        Tensor hw_dst = hw.view_prefix({num_dst, step.out_width});
-        ops::per_head_dot_into(hw_dst, *p.attn_dst, step.heads, s_dst);
-      }
-      {
-        StageTimer t(stage_hist_, Stage::kAttention);
-        if (attn_layout != nullptr) {
-          ag::gat_attention_infer(*attn_layout, hw, s_dst, s_src, step.heads,
-                                  cfg.attn_slope, out_f);
-        } else {
-          ag::gat_attention_infer(indptr, indices, hw, s_dst, s_src,
-                                  step.heads, cfg.attn_slope, out_f);
-        }
-      }
-      StageTimer t(stage_hist_, Stage::kEpilogue);
-      add_bias_inplace(out_f, *p.bias);
-      if (!step.last) elu_inplace(out_f);
-      break;
-    }
-  }
-  if (step.last) return HalfBuffer{};
-  HalfBuffer out16 = hws(out_idx, num_dst, step.out_width);
-  {
-    StageTimer t(stage_hist_, Stage::kEpilogue);
-    out16.quantize_from(out_f);
-  }
-  return out16;
-}
-
-void Executor::run_full(const Tensor& features, Tensor& out) {
+template <class Act>
+void Executor::run_full(const Act& features, Tensor& out) {
   const std::int64_t n = plan_.num_nodes();
+  check_storage(features, plan_.precision(), "run_full");
   GSOUP_CHECK_MSG(features.rank() == 2 && features.shape(0) == n &&
                       features.shape(1) == plan_.config().in_dim,
                   "run_full: feature matrix " << features.shape_str()
@@ -592,91 +501,47 @@ void Executor::run_full(const Tensor& features, Tensor& out) {
                       out.shape(1) == plan_.config().out_dim,
                   "run_full: bad output shape " << out.shape_str());
   const Csr& g = plan_.message_graph();
-  Tensor h = features;
+  Act h = features;
   for (std::size_t l = 0; l < plan_.steps().size(); ++l) {
     const LayerStep& step = plan_.steps()[l];
-    Tensor* final_out = step.last ? &out : nullptr;
-    h = run_layer(step, step_params_[l], g.indptr, g.indices, g.values, h, n,
-                  final_out, step.spmm_layout, step.attn_layout);
+    run_layer(step, step_params_[l], g.indptr, g.indices, g.values, h, n,
+              step.last ? &out : nullptr, step.spmm_layout,
+              step.attn_layout);
   }
 }
 
-void Executor::run_full(const HalfBuffer& features, Tensor& out) {
-  const std::int64_t n = plan_.num_nodes();
-  GSOUP_CHECK_MSG(plan_.precision() != Precision::kFp32 &&
-                      features.precision() == plan_.precision(),
-                  "run_full(half): feature precision does not match the "
-                  "plan's storage precision");
-  GSOUP_CHECK_MSG(features.rank() == 2 && features.shape(0) == n &&
-                      features.shape(1) == plan_.config().in_dim,
-                  "run_full: feature matrix " << features.shape_str()
-                                              << " does not match the plan");
-  GSOUP_CHECK_MSG(out.rank() == 2 && out.shape(0) == n &&
-                      out.shape(1) == plan_.config().out_dim,
-                  "run_full: bad output shape " << out.shape_str());
-  const Csr& g = plan_.message_graph();
-  HalfBuffer h = features;
-  for (std::size_t l = 0; l < plan_.steps().size(); ++l) {
-    const LayerStep& step = plan_.steps()[l];
-    Tensor* final_out = step.last ? &out : nullptr;
-    h = run_layer_half(step, step_params_[l], step_half_[l], g.indptr,
-                       g.indices, g.values, h, n, final_out,
-                       step.spmm_layout, step.attn_layout);
-  }
-}
-
+template <class Act>
 const Tensor& Executor::run_subgraph(const SubgraphPlan& sp,
-                                     const Tensor& features) {
+                                     const Act& features) {
   GSOUP_CHECK_MSG(
       static_cast<std::int64_t>(sp.layers.size()) == plan_.num_layers(),
       "run_subgraph: plan has " << sp.layers.size() << " layers, model "
                                 << plan_.num_layers());
+  check_storage(features, plan_.precision(), "run_subgraph");
+  // The input rows are gathered at storage width (a half plan copies
+  // 16-bit rows — half the gather traffic); the first layer's kernels
+  // read them like any other activation slab.
   const SubgraphLayer& input = sp.layers.front();
-  Tensor h = ws(0, input.num_src(), plan_.config().in_dim);
+  Act h = act_slabs<Act>()[0].view_prefix(
+      {input.num_src(), plan_.config().in_dim});
   {
     StageTimer t(stage_hist_, Stage::kGather);
     ops::gather_rows_into(features, input.src_nodes, h);
   }
   for (std::size_t l = 0; l < plan_.steps().size(); ++l) {
-    const LayerStep& step = plan_.steps()[l];
     const SubgraphLayer& P = sp.layers[l];
-    h = run_layer(step, step_params_[l], P.indptr, P.indices, P.values, h,
-                  P.num_dst, nullptr, nullptr, nullptr);
+    subgraph_out_ = run_layer(plan_.steps()[l], step_params_[l], P.indptr,
+                              P.indices, P.values, h, P.num_dst, nullptr,
+                              nullptr, nullptr);
   }
-  subgraph_out_ = h;
   return subgraph_out_;
 }
 
-const Tensor& Executor::run_subgraph(const SubgraphPlan& sp,
-                                     const HalfBuffer& features) {
-  GSOUP_CHECK_MSG(
-      static_cast<std::int64_t>(sp.layers.size()) == plan_.num_layers(),
-      "run_subgraph: plan has " << sp.layers.size() << " layers, model "
-                                << plan_.num_layers());
-  GSOUP_CHECK_MSG(plan_.precision() != Precision::kFp32 &&
-                      features.precision() == plan_.precision(),
-                  "run_subgraph(half): feature precision does not match "
-                  "the plan's storage precision");
-  const SubgraphLayer& input = sp.layers.front();
-  // The gathered input rows stay 16-bit (a u16 memcpy per row — half the
-  // gather traffic of the fp32 path); the first layer's kernels widen
-  // them in registers like any other half activation slab.
-  HalfBuffer h = hws(0, input.num_src(), plan_.config().in_dim);
-  {
-    StageTimer t(stage_hist_, Stage::kGather);
-    ops::gather_rows_into(features, input.src_nodes, h);
-  }
-  const SubgraphLayer& last_layer = sp.layers.back();
-  Tensor fin = ws(1, last_layer.num_dst, plan_.config().out_dim);
-  for (std::size_t l = 0; l < plan_.steps().size(); ++l) {
-    const LayerStep& step = plan_.steps()[l];
-    const SubgraphLayer& P = sp.layers[l];
-    h = run_layer_half(step, step_params_[l], step_half_[l], P.indptr,
-                       P.indices, P.values, h, P.num_dst,
-                       step.last ? &fin : nullptr, nullptr, nullptr);
-  }
-  subgraph_out_ = fin;
-  return subgraph_out_;
-}
+template void Executor::run_full(const Tensor&, Tensor&);
+template void Executor::run_full(const HalfBuffer&, Tensor&);
+template const Tensor& Executor::run_subgraph(const SubgraphPlan&,
+                                              const Tensor&);
+template const Tensor& Executor::run_subgraph(const SubgraphPlan&,
+                                              const HalfBuffer&);
 
 }  // namespace gsoup::exec

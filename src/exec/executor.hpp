@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <span>
+#include <tuple>
 
 #include "ag/value.hpp"
 #include "exec/layer_plan.hpp"
@@ -99,84 +100,65 @@ class Executor {
 
   const LayerPlan& plan() const { return plan_; }
 
-  /// Full-graph forward: `features` is [n, in_dim] in plan space, `out`
-  /// a caller-owned [n, out_dim]. No allocation.
-  void run_full(const Tensor& features, Tensor& out);
-
-  /// Half-storage twin for plans compiled at kFp16/kBf16: features are
-  /// the pre-quantized half matrix, inter-layer activations live in the
-  /// half slabs, and the final logits land in fp32 `out`. No allocation.
-  void run_full(const HalfBuffer& features, Tensor& out);
+  /// Full-graph forward: `features` is [n, in_dim] in plan space at the
+  /// plan's storage type — an fp32 Tensor for kFp32 plans, the
+  /// pre-quantized HalfBuffer for kFp16/kBf16 plans — and `out` a
+  /// caller-owned fp32 [n, out_dim]. No allocation.
+  template <class Act>
+  void run_full(const Act& features, Tensor& out);
 
   /// Forward over a subgraph plan's block sequence; gathers the input
-  /// rows from `features` itself. Returns a view (into a workspace or
-  /// directly into a layer output) of the final layer, valid until the
+  /// rows from `features` (storage type as for run_full) itself. Returns
+  /// an fp32 view (into a workspace) of the final layer, valid until the
   /// next run_* call. No allocation.
-  const Tensor& run_subgraph(const SubgraphPlan& sp, const Tensor& features);
-
-  /// Half-storage twin: the input-row gather copies 16-bit rows
-  /// (half the gather traffic), layers run the half lowering, and the
-  /// returned final-layer view is fp32 as always. No allocation.
-  const Tensor& run_subgraph(const SubgraphPlan& sp,
-                             const HalfBuffer& features);
+  template <class Act>
+  const Tensor& run_subgraph(const SubgraphPlan& sp, const Act& features);
 
   /// Total bytes of preallocated workspace (capacity planning).
   std::size_t workspace_bytes() const;
 
  private:
-  /// Parameter tensors of one step, resolved once.
+  /// GEMM weight panels of one step at activation storage type A.
+  template <class A>
+  struct Panels {
+    A weight, weight_self, weight_neigh;
+  };
+
+  /// Parameters of one step, resolved once. The fp32 panels share the
+  /// store's tensors; a half plan also quantizes them once, at
+  /// construction. Bias and attention vectors stay fp32 — they feed fp32
+  /// epilogues, and at O(width) bytes there is nothing to save.
   struct StepParams {
-    const Tensor* weight = nullptr;
-    const Tensor* weight_self = nullptr;
-    const Tensor* weight_neigh = nullptr;
+    std::tuple<Panels<Tensor>, Panels<HalfBuffer>> gemm;
     const Tensor* bias = nullptr;
     const Tensor* attn_dst = nullptr;
     const Tensor* attn_src = nullptr;
   };
 
-  /// Half-stored parameter panels of one step, quantized once at
-  /// construction for half-precision plans (bias and attention vectors
-  /// stay fp32 — they feed fp32 epilogues).
-  struct StepHalfParams {
-    HalfBuffer weight;
-    HalfBuffer weight_self;
-    HalfBuffer weight_neigh;
-  };
-
   /// One layer over an explicit CSR (spans) or, when `spmm_layout` /
-  /// `attn_layout` is non-null, the step's cached layout. h_in rows are
-  /// sources; the written view covers destinations. Returns the output
-  /// view (== *final_out for the last layer when provided).
+  /// `attn_layout` is non-null, the step's cached layout. `h` holds the
+  /// source rows on entry and, unless the step is the last, the stored
+  /// activation of the destination rows on return. Returns the layer's
+  /// fp32 output view (== *final_out when provided).
+  template <class Act>
   Tensor run_layer(const LayerStep& step, const StepParams& p,
                    std::span<const std::int64_t> indptr,
                    std::span<const std::int32_t> indices,
-                   std::span<const float> values, const Tensor& h_in,
+                   std::span<const float> values, Act& h,
                    std::int64_t num_dst, Tensor* final_out,
                    const graph::BlockedCsr* spmm_layout,
                    const graph::BlockedCsr* attn_layout);
 
-  /// Half-storage layer body: h_in is 16-bit, all accumulation runs in
-  /// the fp32 scratch slabs, and the activated output quantizes into a
-  /// half slab — except the last layer, which stores fp32 into
-  /// *final_out (never null here) and returns an undefined buffer.
-  HalfBuffer run_layer_half(const LayerStep& step, const StepParams& p,
-                            const StepHalfParams& hp,
-                            std::span<const std::int64_t> indptr,
-                            std::span<const std::int32_t> indices,
-                            std::span<const float> values,
-                            const HalfBuffer& h_in, std::int64_t num_dst,
-                            Tensor* final_out,
-                            const graph::BlockedCsr* spmm_layout,
-                            const graph::BlockedCsr* attn_layout);
-
   /// Carve a [rows, cols] view out of workspace buffer `idx`.
   Tensor ws(int idx, std::int64_t rows, std::int64_t cols);
-  /// Carve a [rows, cols] view out of half slab `idx` (half plans only).
-  HalfBuffer hws(int idx, std::int64_t rows, std::int64_t cols);
+
+  /// The three inter-layer activation slabs at storage type Act: the fp32
+  /// slabs themselves, or a half plan's 16-bit slabs.
+  template <class Act>
+  Act* act_slabs();
 
   const LayerPlan& plan_;
   std::vector<StepParams> step_params_;
-  std::vector<StepHalfParams> step_half_;  ///< empty for fp32 plans
 
   // Per-stage duration histograms ("exec.stage_ms", labelled with this
   // plan's arch and the stage name), resolved once here so the hot path

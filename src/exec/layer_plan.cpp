@@ -38,7 +38,6 @@ LayerPlan::LayerPlan(const ModelConfig& config, const GraphContext& ctx,
     step.in_dim = model.layer_in_dim(l);
     step.out_width = model.layer_out_width(l);
     step.heads = model.layer_heads(l);
-    step.storage_precision = options_.precision;
     step.bias = layer_param_name(l, "bias");
     switch (config.arch) {
       case Arch::kGcn:

@@ -100,13 +100,6 @@ struct LayerStep {
   /// (gcn: gemm,spmm,epilogue; sage: spmm,gemm,epilogue; gat:
   /// gemm,attention,epilogue).
   std::vector<Stage> stages;
-
-  /// Storage precision of this step's infer lowering (activation slabs,
-  /// gathered inputs, weight panels), decided at plan compile from
-  /// ExecOptions::precision. kFp32 is the classic path; kFp16/kBf16
-  /// store 16 bits and widen to fp32 in kernel registers. Tape lowering
-  /// never reads this.
-  Precision storage_precision = Precision::kFp32;
 };
 
 /// A per-(ModelConfig, GraphContext) lowered op sequence plus the

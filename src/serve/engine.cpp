@@ -9,14 +9,40 @@
 
 namespace gsoup::serve {
 
+StoredMatrix forward_features(const GraphContext& ctx, StoredMatrix features,
+                              FeatureSpace space, Precision precision) {
+  if (const HalfBuffer* half = std::get_if<HalfBuffer>(&features)) {
+    GSOUP_CHECK_MSG(half->precision() == precision,
+                    "half features are " << precision_name(half->precision())
+                                         << " but the serving precision is "
+                                         << precision_name(precision));
+    return features;
+  }
+  Tensor rows = std::get<Tensor>(std::move(features));
+  // Active GraphPlan: the graph in ctx is vertex-reordered, so the
+  // forward needs plan-ordered feature rows — permute a copy unless the
+  // caller already holds a plan-space tensor.
+  if (ctx.plan() != nullptr && ctx.plan()->active()) {
+    if (space == FeatureSpace::kOriginal) {
+      rows = ctx.plan()->permute_rows(rows);
+    }
+  } else {
+    GSOUP_CHECK_MSG(space == FeatureSpace::kOriginal,
+                    "plan-space features need a context with an active "
+                    "GraphPlan");
+  }
+  // Half precision: quantize once; the fp32 rows are dropped, so no
+  // full-width feature copy is held.
+  if (precision == Precision::kFp32) return rows;
+  return HalfBuffer::quantize(rows, precision);
+}
+
 InferenceEngine::InferenceEngine(
     const ModelConfig& config, const ParamStore& params,
-    std::shared_ptr<const GraphContext> ctx, Tensor features, QueryMode mode,
-    FeatureSpace feature_space, Precision precision,
-    std::shared_ptr<const HalfBuffer> shared_half_features)
+    std::shared_ptr<const GraphContext> ctx, StoredMatrix features,
+    QueryMode mode, FeatureSpace feature_space, Precision precision)
     : params_(params),
       ctx_(std::move(ctx)),
-      features_(std::move(features)),
       mode_(mode),
       precision_(precision),
       builder_(ctx_ != nullptr ? ctx_->raw().num_nodes : 0,
@@ -25,58 +51,21 @@ InferenceEngine::InferenceEngine(
   GSOUP_CHECK_MSG(ctx_->arch() == config.arch,
                   "graph context built for a different architecture");
   num_nodes_ = ctx_->raw().num_nodes;
-  const bool reordered = ctx_->plan() != nullptr && ctx_->plan()->active();
-  if (shared_half_features != nullptr) {
-    // Pre-quantized matrix handed in by a server: share its storage (one
-    // half-width slice per server/shard, not per engine). Its rows must
-    // already be in the space the forward runs in.
-    GSOUP_CHECK_MSG(precision_ != Precision::kFp32 &&
-                        shared_half_features->precision() == precision_,
-                    "shared half features are "
-                        << precision_name(shared_half_features->precision())
-                        << " but the engine was asked for "
-                        << precision_name(precision_));
-    GSOUP_CHECK_MSG(shared_half_features->rank() == 2 &&
-                        shared_half_features->shape(0) == num_nodes_ &&
-                        shared_half_features->shape(1) == config.in_dim,
-                    "shared half feature matrix "
-                        << shared_half_features->shape_str()
-                        << " does not match graph/model");
-    GSOUP_CHECK_MSG(!reordered || feature_space == FeatureSpace::kPlan,
-                    "a reordered context needs the shared half features "
-                    "quantized from plan-space rows");
-    features_half_ = *shared_half_features;
-    features_ = Tensor{};
-  } else {
-    GSOUP_CHECK_MSG(features_.rank() == 2 &&
-                        features_.shape(0) == num_nodes_ &&
-                        features_.shape(1) == config.in_dim,
-                    "feature matrix " << features_.shape_str()
-                                      << " does not match graph/model");
-    // Active GraphPlan: the graph in ctx is vertex-reordered, so the
-    // forward needs plan-ordered feature rows — permute a private copy
-    // once unless the caller already shares a plan-space tensor. Queries
-    // and results keep the caller's numbering either way (ids are
-    // translated per query, logits unpermuted per full pass).
-    if (reordered) {
-      if (feature_space == FeatureSpace::kOriginal) {
-        features_ = ctx_->plan()->permute_rows(features_);
-      }
-      // plan_space_logits_ is allocated lazily by the first full_logits()
-      // call: kSubgraph engines never run a full pass and should not hold
-      // a whole-graph buffer.
-    } else {
-      GSOUP_CHECK_MSG(feature_space == FeatureSpace::kOriginal,
-                      "plan-space features need a context with an active "
-                      "GraphPlan");
-    }
-    if (precision_ != Precision::kFp32) {
-      // Quantize once, then drop the fp32 handle: every forward reads the
-      // half matrix, so the engine holds no full-width feature copy.
-      features_half_ = HalfBuffer::quantize(features_, precision_);
-      features_ = Tensor{};
-    }
-  }
+  std::visit(
+      [&](const auto& f) {
+        GSOUP_CHECK_MSG(f.rank() == 2 && f.shape(0) == num_nodes_ &&
+                            f.shape(1) == config.in_dim,
+                        "feature matrix " << f.shape_str()
+                                          << " does not match graph/model");
+      },
+      features);
+  // Queries and results keep the caller's numbering whatever the feature
+  // rows' space: ids are translated per query, logits unpermuted per full
+  // pass. plan_space_logits_ is allocated lazily by the first
+  // full_logits() call: kSubgraph engines never run a full pass and
+  // should not hold a whole-graph buffer.
+  features_ = forward_features(*ctx_, std::move(features), feature_space,
+                               precision_);
 
   // The compiled forward: the same LayerPlan the tape records through
   // (bit-identical logits at fp32; the half plans lower storage width
@@ -87,9 +76,9 @@ InferenceEngine::InferenceEngine(
 
   logits_ = Tensor::empty({num_nodes_, config.out_dim});
   single_out_ = Tensor::empty({1, config.out_dim});
+  answers_ = logits_;
   if (precision_ != Precision::kFp32 && mode_ == QueryMode::kCachedFull) {
-    logits_half_ =
-        HalfBuffer::empty({num_nodes_, config.out_dim}, precision_);
+    answers_ = HalfBuffer::empty({num_nodes_, config.out_dim}, precision_);
   }
 }
 
@@ -97,7 +86,9 @@ std::size_t InferenceEngine::workspace_bytes() const {
   std::size_t total =
       exec_->workspace_bytes() + logits_.bytes() + single_out_.bytes();
   if (plan_space_logits_.defined()) total += plan_space_logits_.bytes();
-  if (logits_half_.defined()) total += logits_half_.bytes();
+  if (const auto* table = std::get_if<HalfBuffer>(&answers_)) {
+    total += table->bytes();
+  }
   return total;
 }
 
@@ -112,30 +103,26 @@ const Tensor& InferenceEngine::full_logits() {
           Tensor::empty({num_nodes_, plan_->config().out_dim});
     }
     Tensor& target = reordered ? plan_space_logits_ : logits_;
-    if (precision_ != Precision::kFp32) {
-      exec_->run_full(features_half_, target);
-    } else {
-      exec_->run_full(features_, target);
-    }
+    std::visit([&](const auto& f) { exec_->run_full(f, target); },
+               features_);
     // Plan-space rows back to the caller's numbering, once per cache
     // fill; row lookups stay free afterwards.
     if (reordered) {
       ctx_->plan()->unpermute_rows_into(plan_space_logits_, logits_);
     }
-    // Half kCachedFull: refresh the quantized answer table the query
-    // path gathers from (caller numbering, like logits_).
-    if (logits_half_.defined()) logits_half_.quantize_from(logits_);
+    // A half answer table is refreshed from the new logits (caller
+    // numbering, like logits_).
+    if (auto* table = std::get_if<HalfBuffer>(&answers_)) {
+      table->quantize_from(logits_);
+    }
     full_valid_ = true;
   }
   return logits_;
 }
 
-const HalfBuffer& InferenceEngine::full_logits_half() {
-  GSOUP_CHECK_MSG(logits_half_.defined(),
-                  "full_logits_half() needs a half-precision kCachedFull "
-                  "engine");
-  full_logits();  // ensure the cache fill (quantizes logits_half_ too)
-  return logits_half_;
+const StoredMatrix& InferenceEngine::answer_table() {
+  full_logits();
+  return answers_;
 }
 
 std::span<const std::int64_t> InferenceEngine::translate_ids(
@@ -156,8 +143,12 @@ std::span<const std::int64_t> InferenceEngine::translate_ids(
   return plan_ids_;
 }
 
-void InferenceEngine::scatter_rows(const exec::SubgraphPlan& plan,
-                                   const Tensor& rows, Tensor& out) const {
+void InferenceEngine::run_plan(const exec::SubgraphPlan& plan, Tensor& out) {
+  const Tensor& rows = std::visit(
+      [&](const auto& f) -> const Tensor& {
+        return exec_->run_subgraph(plan, f);
+      },
+      features_);
   // Route plan rows back to query slots (duplicates share a row).
   const std::int64_t d = out.shape(1);
   const float* __restrict__ src = rows.data();
@@ -188,23 +179,17 @@ void InferenceEngine::query(std::span<const std::int64_t> nodes,
                       "query node " << node << " out of range [0, "
                                     << num_nodes_ << ")");
     }
-    const Tensor& logits = full_logits();
-    if (logits_half_.defined()) {
-      // The half answer table: rows widen to fp32 on gather, so the
-      // steady-state table costs half the memory and gather traffic.
-      ops::gather_rows_into(logits_half_, nodes, out);
-    } else {
-      ops::gather_rows_into(logits, nodes, out);
-    }
+    // A half answer table widens its rows to fp32 on gather, so the
+    // steady-state table costs half the memory and gather traffic.
+    std::visit(
+        [&](const auto& table) { ops::gather_rows_into(table, nodes, out); },
+        answer_table());
     return;
   }
 
   builder_.build(plan_->message_graph(), translate_ids(nodes),
                  scratch_plan_);
-  const Tensor& rows = precision_ != Precision::kFp32
-                           ? exec_->run_subgraph(scratch_plan_, features_half_)
-                           : exec_->run_subgraph(scratch_plan_, features_);
-  scatter_rows(scratch_plan_, rows, out);
+  run_plan(scratch_plan_, out);
 }
 
 std::shared_ptr<const exec::SubgraphPlan> InferenceEngine::compile_query_plan(
@@ -223,10 +208,7 @@ void InferenceEngine::query(const exec::SubgraphPlan& plan, Tensor& out) {
                       out.shape(1) == plan_->config().out_dim,
                   "query output " << out.shape_str()
                                   << " does not match the plan");
-  const Tensor& rows = precision_ != Precision::kFp32
-                           ? exec_->run_subgraph(plan, features_half_)
-                           : exec_->run_subgraph(plan, features_);
-  scatter_rows(plan, rows, out);
+  run_plan(plan, out);
 }
 
 void InferenceEngine::set_row_guard(std::span<const std::uint8_t> complete) {

@@ -60,6 +60,13 @@ enum class QueryMode { kSubgraph, kCachedFull };
 /// shares that copy across all of its workers' engines.
 enum class FeatureSpace { kOriginal, kPlan };
 
+/// The feature rows a forward reads: plan-space rows (a Tensor in the
+/// caller's numbering is permuted on a reordering context) at storage
+/// `precision` (a Tensor is quantized once for kFp16/kBf16). A HalfBuffer
+/// is taken as-is: it must already be those rows, at `precision`.
+StoredMatrix forward_features(const GraphContext& ctx, StoredMatrix features,
+                              FeatureSpace space, Precision precision);
+
 class InferenceEngine {
  public:
   /// `ctx` must wrap the serving graph for `config.arch` and outlive the
@@ -79,20 +86,19 @@ class InferenceEngine {
   /// features, the executor stores weight panels and inter-layer
   /// activations at half width, and all query/logit interfaces stay fp32
   /// (accumulation is fp32 throughout; see docs/ARCHITECTURE.md
-  /// "Precision lowering"). Alternatively `shared_half_features` hands in
-  /// a pre-quantized matrix (matching `precision`, plan-space rows when
-  /// the context reorders): the engine shares its storage instead of
-  /// quantizing a copy — the BatchServer quantizes once per server and
-  /// the sharded router once per shard, so W workers x R replicas hold
-  /// ONE half-width feature slice. With a shared buffer `features` may be
-  /// an undefined Tensor.
+  /// "Precision lowering"). `features` may instead be a pre-quantized
+  /// HalfBuffer matching `precision`: a HalfBuffer cannot be permuted, so
+  /// it must already hold the rows the forward reads (plan space when the
+  /// context reorders), and the engine shares its storage instead of
+  /// quantizing a copy — the BatchServer quantizes once per server and the
+  /// sharded router once per shard, so W workers x R replicas hold ONE
+  /// half-width feature slice.
   InferenceEngine(const ModelConfig& config, const ParamStore& params,
-                  std::shared_ptr<const GraphContext> ctx, Tensor features,
+                  std::shared_ptr<const GraphContext> ctx,
+                  StoredMatrix features,
                   QueryMode mode = QueryMode::kSubgraph,
                   FeatureSpace feature_space = FeatureSpace::kOriginal,
-                  Precision precision = Precision::kFp32,
-                  std::shared_ptr<const HalfBuffer> shared_half_features =
-                      nullptr);
+                  Precision precision = Precision::kFp32);
 
   const ModelConfig& config() const { return plan_->config(); }
   QueryMode mode() const { return mode_; }
@@ -105,12 +111,12 @@ class InferenceEngine {
   const Tensor& full_logits();
   void invalidate() { full_valid_ = false; }
 
-  /// Half-precision kCachedFull engines only: the cached answer table at
-  /// storage width (quantized from the fp32 full pass; row lookups widen
-  /// on gather). Shares storage — the BatchServer keeps this buffer
-  /// alive after the construction-time engine is gone, halving the
-  /// steady-state table footprint.
-  const HalfBuffer& full_logits_half();
+  /// The table kCachedFull queries answer from, in caller numbering
+  /// (filled by full_logits(), which this calls): the logits themselves
+  /// at fp32; in half precision their quantized copy, whose rows widen on
+  /// gather. Shares storage — the BatchServer keeps the table alive after
+  /// the construction-time engine is gone.
+  const StoredMatrix& answer_table();
 
   /// Logits for a batch of node ids, written to the corresponding rows of
   /// `out` ([nodes.size(), out_dim], caller-allocated). Duplicate ids are
@@ -153,17 +159,16 @@ class InferenceEngine {
   std::span<const std::int64_t> translate_ids(
       std::span<const std::int64_t> nodes);
 
-  /// Scatter the executor's subgraph output rows into `out` by seed_row.
-  void scatter_rows(const exec::SubgraphPlan& plan, const Tensor& rows,
-                    Tensor& out) const;
+  /// Run a subgraph plan over the features and scatter its output rows
+  /// into `out` by seed_row.
+  void run_plan(const exec::SubgraphPlan& plan, Tensor& out);
 
   ParamStore params_;
   std::shared_ptr<const GraphContext> ctx_;
-  Tensor features_;  ///< undefined in half mode (features_half_ serves)
-  /// Half plans: the plan-space feature matrix at storage width — either
-  /// a private quantized copy or storage shared with the server-owned
-  /// slice every sibling engine reads.
-  HalfBuffer features_half_;
+  /// The feature rows the forward reads: plan space, at the storage
+  /// precision — a private permuted/quantized copy, or storage shared
+  /// with the server-owned slice every sibling engine reads.
+  StoredMatrix features_;
   QueryMode mode_;
   Precision precision_ = Precision::kFp32;
   std::int64_t num_nodes_ = 0;
@@ -180,9 +185,10 @@ class InferenceEngine {
   // (kSubgraph engines never pay for it).
   Tensor logits_;
   Tensor plan_space_logits_;
-  /// Half kCachedFull: the quantized answer table query() gathers from
-  /// (convert-on-gather). Refilled alongside logits_ per cache fill.
-  HalfBuffer logits_half_;
+  /// The answer table kCachedFull query() gathers from: logits_ itself,
+  /// or in half precision its quantized copy (convert-on-gather),
+  /// refilled alongside logits_ per cache fill.
+  StoredMatrix answers_;
   Tensor single_out_;
   bool full_valid_ = false;
 

@@ -15,6 +15,20 @@ namespace {
 /// Trace-phase span names, indexed by Pending::phase.
 constexpr const char* kQueryPhaseNames[] = {"serve.pending",
                                             "serve.queue_wait", "serve.exec"};
+
+/// Row `node` of a cached answer table as fp32: a pointer into an fp32
+/// table, or the row widened into `wide` from a half one.
+const float* answer_row(const Tensor& table, std::int64_t node,
+                        std::vector<float>& /*wide*/) {
+  return table.data() + node * table.shape(1);
+}
+const float* answer_row(const HalfBuffer& table, std::int64_t node,
+                        std::vector<float>& wide) {
+  const std::int64_t d = table.shape(1);
+  wide.resize(static_cast<std::size_t>(d));
+  half::widen(table.data() + node * d, wide.data(), d, table.precision());
+  return wide.data();
+}
 }  // namespace
 
 const char* serve_error_name(ServeErrorCode code) {
@@ -42,14 +56,13 @@ const ServeError& QueryResult::error() const {
 
 BatchServer::BatchServer(const Snapshot& snapshot,
                          std::shared_ptr<const GraphContext> ctx,
-                         Tensor features, ServerConfig config)
+                         StoredMatrix features, ServerConfig config)
     : config_(config),
       out_dim_(snapshot.config.out_dim),
       num_nodes_(snapshot.graph.num_nodes),
       snap_config_(snapshot.config),
       snap_params_(snapshot.params),
-      ctx_(std::move(ctx)),
-      worker_features_(features) {
+      ctx_(std::move(ctx)) {
   GSOUP_CHECK_MSG(config_.workers >= 1, "server needs >= 1 worker");
   GSOUP_CHECK_MSG(config_.max_batch >= 1, "server needs max_batch >= 1");
   GSOUP_CHECK_MSG(config_.max_pending >= 1, "server needs max_pending >= 1");
@@ -99,46 +112,27 @@ BatchServer::BatchServer(const Snapshot& snapshot,
   m_batch_size_ =
       &obs::histogram(pre + "batch_size", lbl, {}, "Executed batch sizes");
 
-  const bool reordered = ctx_->plan() != nullptr && ctx_->plan()->active();
-  const bool half = config_.precision != Precision::kFp32;
-  GSOUP_CHECK_MSG(config_.half_features == nullptr || half,
-                  "half_features set but precision is fp32");
-  if (config_.half_features != nullptr) {
-    // Pre-quantized (plan-space) slice from the sharded router: all R
-    // replicas x W workers serve from this one buffer.
-    half_features_ = config_.half_features;
-    feature_space_ = reordered ? FeatureSpace::kPlan : FeatureSpace::kOriginal;
-    worker_features_ = Tensor{};
-  }
   if (config_.mode == QueryMode::kCachedFull) {
     // One full-graph pass, one shared read-only answer table. The engine
     // and its workspaces are scoped to this block — workers only ever
     // read the cached table, so W workers cost no extra workspace at all.
     // Half precision keeps the table quantized (half the steady-state
     // footprint); answers widen the row at lookup.
-    InferenceEngine engine(snap_config_, snap_params_, ctx_, features,
-                           QueryMode::kCachedFull, feature_space_,
-                           config_.precision, half_features_);
-    if (half) {
-      cached_logits_half_ = engine.full_logits_half();  // shares storage
-    } else {
-      cached_logits_ = engine.full_logits();  // shares storage
-    }
+    InferenceEngine engine(snap_config_, snap_params_, ctx_,
+                           std::move(features), QueryMode::kCachedFull,
+                           FeatureSpace::kOriginal, config_.precision);
+    cached_logits_ = engine.answer_table();  // shares storage
   } else {
-    // On a reordered (GraphPlan) context, permute the feature rows ONCE
-    // here and share the plan-space tensor read-only across every
-    // worker's engine — W private permuted copies would defeat the
-    // "features shared, never copied per engine" contract.
-    if (reordered && half_features_ == nullptr) {
-      worker_features_ = ctx_->plan()->permute_rows(features);
+    // Bring the features into the form the forward reads ONCE here —
+    // plan-space rows on a reordered (GraphPlan) context, quantized in
+    // half precision — and share that slice read-only across every
+    // worker's engine: W private copies would defeat the "features
+    // shared, never copied per engine" contract.
+    worker_features_ = forward_features(*ctx_, std::move(features),
+                                        FeatureSpace::kOriginal,
+                                        config_.precision);
+    if (ctx_->plan() != nullptr && ctx_->plan()->active()) {
       feature_space_ = FeatureSpace::kPlan;
-    }
-    if (half && half_features_ == nullptr) {
-      // Quantize the (possibly permuted) features once; every worker
-      // engine shares this slice and the fp32 handle is dropped.
-      half_features_ = std::make_shared<const HalfBuffer>(
-          HalfBuffer::quantize(worker_features_, config_.precision));
-      worker_features_ = Tensor{};
     }
     workers_.reserve(config_.workers);
     for (std::size_t i = 0; i < config_.workers; ++i) {
@@ -172,7 +166,7 @@ BatchServer::~BatchServer() {
 std::unique_ptr<InferenceEngine> BatchServer::build_worker_engine() const {
   auto engine = std::make_unique<InferenceEngine>(
       snap_config_, snap_params_, ctx_, worker_features_, config_.mode,
-      feature_space_, config_.precision, half_features_);
+      feature_space_, config_.precision);
   // Sharded serving: the guard rides through isolation rebuilds too — a
   // fresh engine must enforce the same halo-sufficiency invariant.
   if (config_.row_guard != nullptr) {
@@ -575,24 +569,19 @@ void BatchServer::run_batch(std::vector<Pending>& batch) {
   m_batches_->inc();
   m_queries_->inc(static_cast<std::uint64_t>(n));
   m_batch_size_->observe(static_cast<double>(n));
-  // Half cached table: widen the answered row into a small per-batch
+  // A half answer table widens the answered row into a small per-batch
   // buffer (untracked; the tracked-allocation contract covers tensor
   // workspaces).
   std::vector<float> wide_row;
-  const bool cached_half = cached && cached_logits_half_.defined();
-  if (cached_half) wide_row.resize(static_cast<std::size_t>(out_dim_));
   for (std::int64_t i = 0; i < n; ++i) {
     Pending& p = batch[static_cast<std::size_t>(i)];
-    const float* row;
-    if (cached_half) {
-      half::widen(cached_logits_half_.data() + p.node * out_dim_,
-                  wide_row.data(), out_dim_, cached_logits_half_.precision());
-      row = wide_row.data();
-    } else if (cached) {
-      row = cached_logits_.data() + p.node * out_dim_;
-    } else {
-      row = batch_rows + i * out_dim_;
-    }
+    const float* row =
+        cached ? std::visit(
+                     [&](const auto& table) {
+                       return answer_row(table, p.node, wide_row);
+                     },
+                     cached_logits_)
+               : batch_rows + i * out_dim_;
     Prediction pred;
     // The shard id-translation boundary: a shard server is submitted
     // shard-local ids but answers in the caller's global numbering.

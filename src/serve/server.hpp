@@ -92,12 +92,6 @@ struct ServerConfig {
   /// accumulation everywhere. The query/prediction interface is
   /// unchanged.
   Precision precision = Precision::kFp32;
-  /// Optional pre-quantized feature matrix (must match `precision`;
-  /// plan-space rows when the context reorders vertices). When set, the
-  /// server and every worker engine share its storage instead of
-  /// quantizing a private copy — the sharded router quantizes each
-  /// shard's slice ONCE and its R replicas all serve from it.
-  std::shared_ptr<const HalfBuffer> half_features;
 
   // --- Sharded-serving hooks (set by serve::ShardedServer for its
   // per-shard inner servers; the defaults are plain single-server
@@ -240,11 +234,15 @@ class BatchServer {
  public:
   /// The snapshot provides config + weights; `ctx` must wrap the serving
   /// graph for the snapshot's architecture; `features` is the node feature
-  /// matrix (shared across workers, never copied per engine). The server
-  /// retains the snapshot's config and (storage-shared) parameters so a
-  /// poisoned worker engine can be rebuilt without the caller's Snapshot.
+  /// matrix (shared across workers, never copied per engine). A
+  /// pre-quantized HalfBuffer (matching config.precision, plan-space rows
+  /// when the context reorders vertices) is served as-is — the sharded
+  /// router quantizes each shard's slice ONCE and its R replicas all
+  /// serve from it. The server retains the snapshot's config and
+  /// (storage-shared) parameters so a poisoned worker engine can be
+  /// rebuilt without the caller's Snapshot.
   BatchServer(const Snapshot& snapshot,
-              std::shared_ptr<const GraphContext> ctx, Tensor features,
+              std::shared_ptr<const GraphContext> ctx, StoredMatrix features,
               ServerConfig config = {});
   ~BatchServer();
 
@@ -354,28 +352,24 @@ class BatchServer {
   std::int64_t num_nodes_ = 0;
 
   /// Worker-engine rebuild state: the snapshot's config and parameter
-  /// store (tensors storage-shared with the source snapshot), the shared
-  /// (possibly plan-space) feature tensor and its space tag, and the
+  /// store (tensors storage-shared with the source snapshot), the one
+  /// feature slice every worker engine shares (plan-space rows at the
+  /// storage precision, prepared here once) and its space tag, and the
   /// context. Together these are exactly the InferenceEngine constructor
   /// arguments, so isolation can replace a poisoned engine in place.
   ModelConfig snap_config_;
   ParamStore snap_params_;
   std::shared_ptr<const GraphContext> ctx_;
-  Tensor worker_features_;
-  /// Half precision: the one half-width feature slice every worker
-  /// engine shares (config-provided or quantized here once); the fp32
-  /// worker_features_ handle is dropped after quantization.
-  std::shared_ptr<const HalfBuffer> half_features_;
+  StoredMatrix worker_features_;
   FeatureSpace feature_space_ = FeatureSpace::kOriginal;
 
-  /// kCachedFull mode: the full-graph logits, computed ONCE at
+  /// kCachedFull mode: the full-graph answer table, computed ONCE at
   /// construction by a throwaway engine and shared immutably by every
   /// batch worker (a query is then a row lookup). Per-worker engines —
   /// and their duplicated workspaces — exist only in kSubgraph mode.
-  /// Half precision stores the table quantized instead (rows widen at
-  /// answer time), so only one of the two is ever defined.
-  Tensor cached_logits_;
-  HalfBuffer cached_logits_half_;
+  /// Half precision stores the table quantized (rows widen at answer
+  /// time).
+  StoredMatrix cached_logits_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::deque<Worker*> free_workers_;

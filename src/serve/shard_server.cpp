@@ -160,15 +160,11 @@ ShardedServer::ShardedServer(const Snapshot& snapshot, const ShardSet& shards,
     // slice ONCE here; every replica's BatchServer — and each of its
     // worker engines — shares this buffer, so replication still
     // duplicates only engine workspaces, now at half the feature cost.
-    std::shared_ptr<const HalfBuffer> shard_half;
-    if (opt_.server.precision != Precision::kFp32) {
-      const Tensor plan_feats =
-          (ctx->plan() != nullptr && ctx->plan()->active())
-              ? ctx->plan()->permute_rows(local_features)
-              : local_features;
-      shard_half = std::make_shared<const HalfBuffer>(
-          HalfBuffer::quantize(plan_feats, opt_.server.precision));
-    }
+    const StoredMatrix shard_features =
+        opt_.server.precision == Precision::kFp32
+            ? StoredMatrix(local_features)
+            : forward_features(*ctx, local_features, FeatureSpace::kOriginal,
+                               opt_.server.precision);
 
     // The inner server validates its snapshot against the shard-local
     // graph: rewrite the counts (parameters stay storage-shared with the
@@ -183,14 +179,9 @@ ShardedServer::ShardedServer(const Snapshot& snapshot, const ShardSet& shards,
       // cached-full oracle (tests/test_shard.cpp CachedFullMode...), so
       // scattering them by shard.nodes assembles the global table
       // without ever needing the global CSR.
-      InferenceEngine oracle(
-          local_snap.config, local_snap.params, ctx, local_features,
-          QueryMode::kCachedFull,
-          shard_half != nullptr && ctx->plan() != nullptr &&
-                  ctx->plan()->active()
-              ? FeatureSpace::kPlan
-              : FeatureSpace::kOriginal,
-          opt_.server.precision, shard_half);
+      InferenceEngine oracle(local_snap.config, local_snap.params, ctx,
+                             shard_features, QueryMode::kCachedFull,
+                             FeatureSpace::kOriginal, opt_.server.precision);
       const Tensor& local_logits = oracle.full_logits();
       for (std::int64_t i = 0; i < shard.num_owned; ++i) {
         const float* src = local_logits.data() + i * out_dim_;
@@ -215,10 +206,9 @@ ShardedServer::ShardedServer(const Snapshot& snapshot, const ShardSet& shards,
       cfg.row_guard = std::make_shared<const std::vector<std::uint8_t>>(
           shard.row_complete);
       cfg.exec_failpoint = replica_exec_failpoint(s, r);
-      cfg.half_features = shard_half;  // replicas share one half slice
       Replica& rep = state.replicas[static_cast<std::size_t>(r)];
       rep.server = std::make_unique<BatchServer>(local_snap, ctx,
-                                                 local_features, cfg);
+                                                 shard_features, cfg);
       rep.m_health = &obs::gauge(
           "serve.replica.health", cfg.metric_labels,
           "Replica health (0 healthy, 1 suspect, 2 down, 3 recovering)");

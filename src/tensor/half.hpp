@@ -28,6 +28,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <variant>
 
 #include "tensor/tensor.hpp"
 
@@ -208,5 +209,10 @@ class HalfBuffer {
   std::int64_t numel_ = 0;
   Precision precision_ = Precision::kFp16;
 };
+
+/// A matrix at its storage precision. The serving layer holds its feature
+/// slices and answer tables as one of these and visits it into the
+/// kernel overload for its type.
+using StoredMatrix = std::variant<Tensor, HalfBuffer>;
 
 }  // namespace gsoup

@@ -12,6 +12,10 @@
 //  - The GAT alpha-skip infer kernel is bit-identical to the training
 //    forward at both layout index widths, and the heads=1 backward span
 //    routing is a plan-compile decision (LayerStep.attn_layout_backward).
+//  - Full pass == exact subgraph rows at every storage precision (fp32,
+//    fp16, bf16) x context {plain, RCM}: bit-equal for GCN and SAGE, the
+//    latter with the full pass on the fused combine-bias GEMM and the
+//    batches on the fallback epilogue.
 //  - Zero-alloc steady state in infer mode: full passes and subgraph
 //    queries perform no tracked allocation once warm.
 //  - Gradcheck through the train-mode plan path (plan-aware layouts on),
@@ -19,8 +23,10 @@
 //  - Minibatch blocks sampled with BlockTranspose::kBuild carry the
 //    cached backward transpose, and block_spmm gradients through it match
 //    the seed scatter.
+#include <cstring>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -184,6 +190,117 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Arch::kGcn, Arch::kSage,
                                          Arch::kGat),
                        ::testing::Values(0, 1, 2, 3)));
+
+// ---- Full pass == subgraph rows at every storage precision ---------------
+
+/// Sized so that SAGE's full-pass GEMMs clear the blocked-GEMM threshold
+/// (ops::gemm_can_combine_bias holds at both layers, so the executor takes
+/// the fused ops::matmul_combine_bias branch) while 16-seed subgraph
+/// batches stay below it and take the separate-GEMM fallback combine.
+Dataset fused_combine_dataset() {
+  SyntheticSpec spec;
+  spec.num_nodes = 1200;
+  spec.avg_degree = 5.0;
+  spec.num_classes = 5;
+  spec.feature_dim = 24;
+  spec.seed = 29;
+  return generate_dataset(spec);
+}
+
+class StorageParity
+    : public ::testing::TestWithParam<std::tuple<Arch, Precision, bool>> {};
+
+// The full pass and exact subgraph batches run the same layer body at
+// every storage precision, so their rows are bit-equal for GCN and SAGE —
+// for SAGE across the fused and fallback combine branches. GAT subgraph
+// blocks renumber rows, which reorders the softmax accumulation, so the
+// ExecParity tolerance stands in there.
+TEST_P(StorageParity, FullPassRowsEqualSubgraphRows) {
+  const auto [arch, precision, rcm] = GetParam();
+  const Dataset data = fused_combine_dataset();
+  ModelConfig cfg = exec_config(arch, data);
+  if (arch != Arch::kGat) cfg.hidden_dim = 32;
+  const GnnModel model(cfg);
+  Rng rng(59);
+  ParamStore params = model.init_params(rng);
+  // Non-zero biases: with the zero init, (self + neigh) + bias could not
+  // tell a reordered combine from the tape's.
+  for (const ParamEntry& e : params.entries()) {
+    if (e.name.ends_with("bias")) {
+      init::normal(params.get_mutable(e.name), rng, 0.0f, 0.5f);
+    }
+  }
+  const auto ctx =
+      rcm ? std::make_shared<const GraphContext>(
+                std::make_shared<const graph::GraphPlan>(
+                    data.graph, graph::Reorder::kRcm),
+                arch)
+          : std::make_shared<const GraphContext>(data.graph, arch);
+  const std::string tag = std::string(arch_name(arch)) + " " +
+                          precision_name(precision) +
+                          (rcm ? " rcm" : " plain");
+
+  serve::InferenceEngine engine(cfg, params, ctx, data.features,
+                                serve::QueryMode::kSubgraph,
+                                serve::FeatureSpace::kOriginal, precision);
+  const Tensor& full = engine.full_logits();
+  const auto steps = ctx->layer_plan(cfg, precision).steps();
+  const auto fused = [&](std::int64_t rows, const exec::LayerStep& step) {
+    return ops::gemm_can_combine_bias(rows, step.out_width, step.in_dim);
+  };
+  if (arch == Arch::kSage) {
+    for (const exec::LayerStep& step : steps) {
+      EXPECT_TRUE(fused(data.num_nodes(), step))
+          << tag << ": full-pass layer " << step.index
+          << " must take the fused combine";
+    }
+  }
+
+  // Batches of 16 strided seeds that together cover every node.
+  const std::int64_t batch = 16;
+  const std::int64_t stride = data.num_nodes() / batch;
+  std::int64_t fallback_batches = 0;
+  std::int64_t mismatched_rows = 0;
+  Tensor out = Tensor::empty({batch, cfg.out_dim});
+  for (std::int64_t b = 0; b < stride; ++b) {
+    std::vector<std::int64_t> nodes;
+    for (std::int64_t i = 0; i < batch; ++i) nodes.push_back(b + i * stride);
+    const auto sp = engine.compile_query_plan(nodes);
+    bool all_fallback = true;
+    for (std::size_t l = 0; l < steps.size(); ++l) {
+      all_fallback = all_fallback && !fused(sp->layers[l].num_dst, steps[l]);
+    }
+    fallback_batches += all_fallback ? 1 : 0;
+    engine.query(nodes, out);
+    for (std::int64_t i = 0; i < batch; ++i) {
+      const float* got = out.data() + i * cfg.out_dim;
+      const float* want = full.data() + nodes[static_cast<std::size_t>(i)] *
+                                            cfg.out_dim;
+      if (arch == Arch::kGat) {
+        for (std::int64_t j = 0; j < cfg.out_dim; ++j) {
+          EXPECT_NEAR(got[j], want[j], 1e-5f)
+              << tag << " node " << nodes[static_cast<std::size_t>(i)];
+        }
+      } else if (std::memcmp(got, want, sizeof(float) * cfg.out_dim) != 0) {
+        ++mismatched_rows;
+      }
+    }
+  }
+  EXPECT_EQ(mismatched_rows, 0)
+      << tag << ": subgraph rows must be bit-equal to the full pass";
+  if (arch == Arch::kSage) {
+    EXPECT_GT(fallback_batches, stride / 2)
+        << tag << ": most batches must take the fallback combine";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ArchByPrecisionByContext, StorageParity,
+    ::testing::Combine(::testing::Values(Arch::kGcn, Arch::kSage,
+                                         Arch::kGat),
+                       ::testing::Values(Precision::kFp32, Precision::kFp16,
+                                         Precision::kBf16),
+                       ::testing::Bool()));
 
 // ---- Alpha-skip kernel parity at both index widths -----------------------
 
