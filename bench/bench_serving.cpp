@@ -558,7 +558,7 @@ void bench_sharded(const BenchConfig& cfg, const Dataset& data,
 //  - server_replicated_r2: healthy replicated serving. vs_single against
 //    the same-run single-engine record shows what doubling the engine
 //    count per shard buys (more workers on the same shared shard state,
-//    minus router/collector overhead).
+//    minus the router's completion-handler overhead).
 //  - server_failover_goodput: the same server with one replica of shard 0
 //    killed (p=1 exec failpoint) for the WHOLE run. Every query that
 //    lands on the dead replica fails over to its sibling; the client sees

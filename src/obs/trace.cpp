@@ -97,6 +97,11 @@ void set_ring_capacity(std::size_t events) {
   reg.capacity = events < 64 ? 64 : events;
 }
 
+std::uint64_t next_async_id() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 void clear() {
   RingRegistry& reg = ring_registry();
   std::lock_guard lock(reg.mutex);

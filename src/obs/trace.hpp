@@ -79,6 +79,11 @@ void export_chrome(std::ostream& out);
 /// Convenience: write export_chrome to `path`; false on I/O failure.
 bool export_chrome_file(const std::string& path);
 
+/// A fresh async-span id, unique across the process: every server (each
+/// replica of each shard, and the router) draws from this one counter, so
+/// their spans never share an id.
+std::uint64_t next_async_id() noexcept;
+
 /// Begin/end one async (cross-thread) span; events pair by (name, id).
 inline void async_begin(const char* name, std::uint64_t id) noexcept {
   if (!enabled()) return;

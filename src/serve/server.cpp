@@ -152,8 +152,8 @@ BatchServer::~BatchServer() {
   // submit resolve kShutdown immediately. Phase 2: the dispatcher either
   // drains the queue into batches (drain_on_shutdown) or fails everything
   // pending; the ThreadPool destructor then runs every dispatched batch to
-  // completion, so by the time members are destroyed every promise a
-  // client holds a future for has been resolved.
+  // completion, so by the time members are destroyed every admitted
+  // query's completion callback has run.
   {
     std::lock_guard lock(mutex_);
     stop_ = true;
@@ -181,6 +181,15 @@ std::future<QueryResult> BatchServer::submit(std::int64_t node) {
 
 std::future<QueryResult> BatchServer::submit(std::int64_t node,
                                              double deadline_ms) {
+  auto promise = std::make_shared<std::promise<QueryResult>>();
+  std::future<QueryResult> fut = promise->get_future();
+  submit(node, deadline_ms,
+         [promise](QueryResult r) { promise->set_value(std::move(r)); });
+  return fut;
+}
+
+void BatchServer::submit(std::int64_t node, double deadline_ms,
+                         Completion done) {
   // Reject bad ids at the door, synchronously: a batch is shared by many
   // clients, and an out-of-range id that only failed inside the engine
   // would poison every other query coalesced with it. This is a caller
@@ -190,7 +199,8 @@ std::future<QueryResult> BatchServer::submit(std::int64_t node,
                                  << ")");
   Pending p;
   p.node = node;
-  p.qid = next_qid_.fetch_add(1, std::memory_order_relaxed);
+  p.done = std::move(done);
+  p.qid = obs::trace::next_async_id();
   p.enqueued = Clock::now();
   if (deadline_ms > 0.0) {
     p.has_deadline = true;
@@ -198,30 +208,25 @@ std::future<QueryResult> BatchServer::submit(std::int64_t node,
                                   std::chrono::duration<double, std::milli>(
                                       deadline_ms));
   }
-  std::future<QueryResult> fut = p.promise.get_future();
   // The lifecycle span opens at submit for every query — including ones
   // refused at the door, whose timeline is just a short serve.pending.
   trace_begin(p);
 
-  Pending shed;       // kShedOldest victim, resolved outside the lock
-  bool have_shed = false;
+  Pending shed;  // kShedOldest victim (if done is set), resolved unlocked
   bool rejected = false;
   bool shutdown = false;
   {
     std::lock_guard lock(mutex_);
+    const bool full = pending_.size() >= config_.max_pending;
     if (stop_) {
       shutdown = true;
-    } else if (pending_.size() >= config_.max_pending) {
-      if (config_.admission == AdmissionPolicy::kRejectNew) {
-        rejected = true;
-      } else {
+    } else if (full && config_.admission == AdmissionPolicy::kRejectNew) {
+      rejected = true;
+    } else {
+      if (full) {
         shed = std::move(pending_.front());
         pending_.pop_front();
-        have_shed = true;
-        pending_.push_back(std::move(p));
-        ++submitted_;
       }
-    } else {
       pending_.push_back(std::move(p));
       ++submitted_;
     }
@@ -230,36 +235,33 @@ std::future<QueryResult> BatchServer::submit(std::int64_t node,
   if (shutdown) {
     shutdown_failed_.fetch_add(1, std::memory_order_relaxed);
     m_shutdown_failed_->inc();
-    trace_end(p);
-    p.promise.set_value(QueryResult::failure(ServeErrorCode::kShutdown,
-                                             "server is shutting down"));
-    return fut;
+    resolve(p, QueryResult::failure(ServeErrorCode::kShutdown,
+                                    "server is shutting down"));
+    return;
   }
   if (rejected) {
     // Refused at the door: never admitted, so it is NOT in submitted_ and
     // needs no completion accounting — only the rejected counter.
     rejected_.fetch_add(1, std::memory_order_relaxed);
     m_rejected_->inc();
-    trace_end(p);
-    p.promise.set_value(QueryResult::failure(
-        ServeErrorCode::kOverloaded,
-        "pending queue full (max_pending=" +
-            std::to_string(config_.max_pending) + ")"));
-    return fut;
+    resolve(p, QueryResult::failure(
+                   ServeErrorCode::kOverloaded,
+                   "pending queue full (max_pending=" +
+                       std::to_string(config_.max_pending) + ")"));
+    return;
   }
   m_submitted_->inc();
-  if (have_shed) {
-    // The evicted query WAS admitted earlier, so resolve it through the
-    // normal completion path to keep drain()'s submitted==completed
-    // invariant exact.
+  cv_.notify_all();
+  if (shed.done) {
+    // The evicted query WAS admitted earlier, so account it completed to
+    // keep drain()'s submitted==completed invariant exact.
     rejected_.fetch_add(1, std::memory_order_relaxed);
     m_rejected_->inc();
-    finish_query(shed, QueryResult::failure(ServeErrorCode::kOverloaded,
-                                            "shed by a newer query "
-                                            "(kShedOldest)"));
+    resolve(shed, QueryResult::failure(ServeErrorCode::kOverloaded,
+                                       "shed by a newer query "
+                                       "(kShedOldest)"));
+    count_completed(1);
   }
-  cv_.notify_all();
-  return fut;
 }
 
 void BatchServer::record_retries(std::uint64_t n) {
@@ -281,19 +283,19 @@ void BatchServer::trace_advance(Pending& p, std::uint8_t next_phase) {
   obs::trace::async_begin(kQueryPhaseNames[next_phase], p.qid);
 }
 
-void BatchServer::trace_end(Pending& p) {
-  if (!obs::trace::enabled()) return;
-  obs::trace::async_end(kQueryPhaseNames[p.phase], p.qid);
-  obs::trace::async_end("serve.query", p.qid);
+void BatchServer::resolve(Pending& p, QueryResult result) {
+  if (obs::trace::enabled()) {
+    obs::trace::async_end(kQueryPhaseNames[p.phase], p.qid);
+    obs::trace::async_end("serve.query", p.qid);
+  }
+  // Taking the callback out of `p` is the exactly-once guard.
+  std::exchange(p.done, nullptr)(std::move(result));
 }
 
-void BatchServer::finish_query(Pending& p, QueryResult result) {
-  p.resolved = true;
-  trace_end(p);
-  p.promise.set_value(std::move(result));
+void BatchServer::count_completed(std::uint64_t n) {
   {
     std::lock_guard lock(mutex_);
-    ++completed_;
+    completed_ += n;
   }
   drained_cv_.notify_all();
 }
@@ -301,14 +303,10 @@ void BatchServer::finish_query(Pending& p, QueryResult result) {
 void BatchServer::fail_queries(std::vector<Pending>& batch,
                                ServeErrorCode code, const char* message) {
   std::uint64_t n = 0;
-  for (auto& p : batch) {
-    if (p.resolved) continue;
-    p.resolved = true;
-    trace_end(p);
-    p.promise.set_value(QueryResult::failure(code, message));
-    ++n;
-  }
+  for (const auto& p : batch) n += p.done ? 1 : 0;  // unresolved entries
   if (n == 0) return;
+  // Count BEFORE resolving, as run_batch does: a caller woken by its
+  // answer must see it in stats().
   if (code == ServeErrorCode::kShutdown) {
     shutdown_failed_.fetch_add(n, std::memory_order_relaxed);
     m_shutdown_failed_->inc(n);
@@ -319,11 +317,10 @@ void BatchServer::fail_queries(std::vector<Pending>& batch,
     failed_queries_.fetch_add(n, std::memory_order_relaxed);
     m_failed_queries_->inc(n);
   }
-  {
-    std::lock_guard lock(mutex_);
-    completed_ += n;
+  for (auto& p : batch) {
+    if (p.done) resolve(p, QueryResult::failure(code, message));
   }
-  drained_cv_.notify_all();
+  count_completed(n);
 }
 
 void BatchServer::dispatcher_loop() {
@@ -550,8 +547,8 @@ void BatchServer::run_batch(std::vector<Pending>& batch) {
   }
 
   const auto done = Clock::now();
-  // Record stats BEFORE fulfilling promises: a client woken by its future
-  // must see this batch reflected in stats(). Failed batches are excluded
+  // Record stats BEFORE resolving: a client woken by its answer must see
+  // this batch reflected in stats(). Failed batches are excluded
   // entirely — queries that got a ServeError were not answered, and
   // counting them would inflate QPS and pollute the latency percentiles.
   {
@@ -589,17 +586,10 @@ void BatchServer::run_batch(std::vector<Pending>& batch) {
                                               : p.node;
     pred.label = static_cast<std::int32_t>(ops::argmax_row(row, out_dim_));
     pred.score = row[pred.label];
-    p.resolved = true;
-    trace_end(p);
-    p.promise.set_value(QueryResult::success(pred));
+    resolve(p, QueryResult::success(pred));
   }
   if (w != nullptr) release_worker(w);
-
-  {
-    std::lock_guard lock(mutex_);
-    completed_ += static_cast<std::uint64_t>(n);
-  }
-  drained_cv_.notify_all();
+  count_completed(static_cast<std::uint64_t>(n));
 }
 
 void BatchServer::drain() {

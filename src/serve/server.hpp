@@ -29,13 +29,18 @@
 //  - two-phase shutdown: the destructor first closes intake (submits
 //    resolve kShutdown immediately), then either drains the queue
 //    (drain_on_shutdown, default) or fails pending queries fast — every
-//    promise is always resolved, never a broken-promise abort.
+//    query is always resolved, never dropped.
+//
+// Every query resolves through one path: its completion callback runs
+// exactly once with the QueryResult. The future-returning submits wrap
+// that callback around a promise.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <list>
 #include <memory>
@@ -249,16 +254,26 @@ class BatchServer {
   BatchServer(const BatchServer&) = delete;
   BatchServer& operator=(const BatchServer&) = delete;
 
-  /// Enqueue one node query under the server's default deadline; the
-  /// future resolves when its batch drains (or it is shed / expired /
-  /// failed — always to a QueryResult, never an exception). Out-of-range
-  /// ids still throw CheckError here, synchronously: a malformed id is a
-  /// caller bug, not load. After shutdown begins, returns an
-  /// already-resolved kShutdown result.
-  std::future<QueryResult> submit(std::int64_t node);
+  /// Called exactly once with a query's result.
+  using Completion = std::function<void(QueryResult)>;
 
-  /// Same, with a per-query deadline override (milliseconds from now;
-  /// <= 0 means no deadline, ignoring the server default).
+  /// Enqueue one node query with a per-query deadline (milliseconds from
+  /// now; <= 0 means no deadline, ignoring the server default). `done`
+  /// runs when its batch drains, or when it is shed / expired / failed —
+  /// always with a QueryResult, never an exception. It runs on the thread
+  /// that resolves the query: a worker, the dispatcher, or this caller
+  /// itself when the query is refused at the door (kOverloaded, or
+  /// kShutdown after shutdown begins) — and under kShedOldest this call
+  /// may run ANOTHER query's callback, the one it evicts. The server
+  /// holds none of its locks while a callback runs, so a callback may
+  /// submit again; it must not throw or block on this server.
+  /// Out-of-range ids still throw CheckError here, synchronously: a
+  /// malformed id is a caller bug, not load.
+  void submit(std::int64_t node, double deadline_ms, Completion done);
+
+  /// The same query as a future, under the server's default deadline or
+  /// `deadline_ms`.
+  std::future<QueryResult> submit(std::int64_t node);
   std::future<QueryResult> submit(std::int64_t node, double deadline_ms);
 
   /// Block until every admitted query has been resolved. Any waiting
@@ -282,19 +297,18 @@ class BatchServer {
 
   struct Pending {
     std::int64_t node = 0;
-    std::promise<QueryResult> promise;
+    Completion done;
     Clock::time_point enqueued;
     Clock::time_point deadline;  ///< meaningful iff has_deadline
-    std::uint64_t qid = 0;       ///< trace-timeline id (unique per submit)
+    std::uint64_t qid = 0;       ///< trace-timeline id (process-unique)
     std::uint8_t phase = 0;      ///< open trace phase (index into names)
     bool has_deadline = false;
-    bool resolved = false;  ///< promise satisfied (exactly-once guard)
   };
 
   /// Shared ownership wrapper for a dispatched batch: if the pool task is
   /// destroyed without running (a pool.task failpoint fired, or teardown
-  /// raced), the destructor fails every unresolved promise instead of
-  /// breaking it.
+  /// raced), the destructor fails every unresolved query instead of
+  /// dropping it.
   struct BatchTask {
     BatchServer* server = nullptr;
     std::vector<Pending> batch;
@@ -325,8 +339,11 @@ class BatchServer {
   void release_worker(Worker* w);
   std::unique_ptr<InferenceEngine> build_worker_engine() const;
 
-  /// Resolve one admitted query with `result` and account it completed.
-  void finish_query(Pending& p, QueryResult result);
+  /// The one resolution path: close the query's trace timeline and run
+  /// (and drop) its completion callback. No server lock may be held.
+  void resolve(Pending& p, QueryResult result);
+  /// Account `n` admitted queries completed (wakes drain()).
+  void count_completed(std::uint64_t n);
   /// Resolve every unresolved entry with a `code` error (batch-abort and
   /// fail-fast-shutdown path; counts per code).
   void fail_queries(std::vector<Pending>& batch, ServeErrorCode code,
@@ -334,11 +351,10 @@ class BatchServer {
 
   /// Per-query trace timeline: async spans keyed by qid, one
   /// whole-lifecycle "serve.query" span plus the phase chain
-  /// serve.pending -> serve.queue_wait -> serve.exec. All three are
-  /// no-ops (one relaxed load) unless obs::trace is enabled.
+  /// serve.pending -> serve.queue_wait -> serve.exec, closed by
+  /// resolve(). No-ops (one relaxed load) unless obs::trace is enabled.
   void trace_begin(Pending& p);
   void trace_advance(Pending& p, std::uint8_t next_phase);
-  void trace_end(Pending& p);
 
   /// LRU lookup for a batch's node sequence; counts a hit or miss.
   /// Returns nullptr on miss (the caller compiles and store_plan()s).
@@ -392,14 +408,13 @@ class BatchServer {
   std::condition_variable cv_;
   /// Deque, not vector: batches are dispatched from the front while
   /// clients append at the back; popping the front of a long backlog must
-  /// not shift every queued promise under the submit mutex.
+  /// not shift every queued query under the submit mutex.
   std::deque<Pending> pending_;
   bool stop_ = false;  ///< intake closed; dispatcher winding down
   bool flush_ = false;  ///< drain() in progress: dispatch partial batches
   std::uint64_t submitted_ = 0;
   std::uint64_t completed_ = 0;
   std::condition_variable drained_cv_;
-  std::atomic<std::uint64_t> next_qid_{1};
 
   /// Degradation counters: atomics, not stats_mutex_, so admission and
   /// failure paths never contend with the latency bookkeeping.

@@ -12,10 +12,11 @@
 namespace gsoup::serve {
 
 namespace {
-/// How long the collector sleeps when nothing is ready. Small enough that
-/// hedge delays in the low milliseconds stay meaningful; large enough
-/// that an idle router costs nothing measurable.
-constexpr auto kCollectorIdleWait = std::chrono::microseconds(200);
+std::future<QueryResult> ready_future(QueryResult result) {
+  std::promise<QueryResult> out;
+  out.set_value(std::move(result));
+  return out.get_future();
+}
 }  // namespace
 
 const char* replica_health_name(ReplicaHealth h) {
@@ -136,7 +137,7 @@ ShardedServer::ShardedServer(const Snapshot& snapshot, const ShardSet& shards,
     stale_logits_ = Tensor::empty({shards.num_nodes(), out_dim_});
   }
 
-  shards_.resize(static_cast<std::size_t>(num_shards_));
+  shards_ = std::vector<Shard>(static_cast<std::size_t>(num_shards_));
   owned_counts_.assign(static_cast<std::size_t>(num_shards_), 0);
   for (std::int64_t s = 0; s < num_shards_; ++s) {
     const ShardGraph& shard = shards.shards[static_cast<std::size_t>(s)];
@@ -216,35 +217,31 @@ ShardedServer::ShardedServer(const Snapshot& snapshot, const ShardSet& shards,
     }
   }
 
-  collector_ = std::thread([this] { collector_loop(); });
-  probe_ = std::thread([this] { probe_loop(); });
+  router_ = std::thread([this] { router_loop(); });
 }
 
 ShardedServer::~ShardedServer() {
-  // Phase 1: close intake — every further submit resolves kShutdown.
+  // Phase 1: close intake — every further submit resolves kShutdown —
+  // and forbid new failovers, hedges and probes; retire the router.
   {
     std::lock_guard lock(inflight_mutex_);
     closed_ = true;
   }
-  // Phase 2: retire the probe thread. It may be mid-probe; the inner
-  // servers are still alive, so its outstanding probe future resolves.
+  router_cv_.notify_all();
+  if (router_.joinable()) router_.join();
+  // Phase 2: every outstanding dispatch — queries, hedge losers, probes —
+  // calls back with the verdict the still-alive inner servers give it by
+  // their own contract; the last callback of each entry erases it.
   {
-    std::lock_guard lock(probe_mutex_);
-    probe_stop_ = true;
+    std::unique_lock lock(inflight_mutex_);
+    inflight_cv_.wait(lock, [this] { return inflight_.empty(); });
   }
-  probe_cv_.notify_all();
-  if (probe_.joinable()) probe_.join();
-  // Phase 3: let the collector finish what is in flight. collector_stop_
-  // forbids NEW failovers/hedges, so every entry resolves with the
-  // verdict of its outstanding dispatch — the inner servers (still
-  // alive) resolve every admitted promise by their own contract.
-  {
-    std::lock_guard lock(inflight_mutex_);
-    collector_stop_ = true;
+  // Phase 3: inner servers tear down (drain/fail-fast per their config)
+  // and join their threads while the router members they called back
+  // into are still alive.
+  for (Shard& st : shards_) {
+    for (Replica& r : st.replicas) r.server.reset();
   }
-  inflight_cv_.notify_all();
-  if (collector_.joinable()) collector_.join();
-  // Phase 4: inner servers tear down (drain/fail-fast per their config).
 }
 
 std::int32_t ShardedServer::shard_of(std::int64_t node) const {
@@ -254,13 +251,12 @@ std::int32_t ShardedServer::shard_of(std::int64_t node) const {
   return owner_[static_cast<std::size_t>(node)];
 }
 
-bool ShardedServer::dispatch_allowed(std::int64_t shard) {
+bool ShardedServer::dispatch_allowed() {
   try {
     FAILPOINT("serve.shard_dispatch");
   } catch (const std::exception&) {
     return false;
   }
-  (void)shard;
   return true;
 }
 
@@ -302,13 +298,13 @@ void ShardedServer::set_health_locked(std::int64_t shard, int replica,
   rep.m_health->set(static_cast<double>(static_cast<int>(h)));
 }
 
-void ShardedServer::note_result(std::int64_t shard, int replica, bool ok,
-                                ServeErrorCode code) {
+void ShardedServer::note_result(std::int64_t shard, int replica,
+                                const QueryResult& result) {
   std::lock_guard lock(health_mutex_);
   Replica& rep =
       shards_[static_cast<std::size_t>(shard)].replicas[static_cast<std::size_t>(
           replica)];
-  if (ok) {
+  if (result.ok()) {
     rep.failure_streak = 0;
     if (rep.health != ReplicaHealth::kHealthy) {
       set_health_locked(shard, replica, ReplicaHealth::kHealthy);
@@ -318,6 +314,7 @@ void ShardedServer::note_result(std::int64_t shard, int replica, bool ok,
   // Only execution failures and deadline expiries indict the replica;
   // overload is load (the router's, not the replica's, problem) and
   // shutdown is teardown.
+  const ServeErrorCode code = result.error().code;
   if (code != ServeErrorCode::kExecFailed &&
       code != ServeErrorCode::kDeadlineExceeded) {
     return;
@@ -353,14 +350,12 @@ std::future<QueryResult> ShardedServer::submit(std::int64_t node,
   const std::int32_t s = shard_of(node);
   GSOUP_CHECK_MSG(!shards_[static_cast<std::size_t>(s)].replicas.empty(),
                   "node " << node << " routed to empty shard " << s);
-  if (!dispatch_allowed(s)) {
+  if (!dispatch_allowed()) {
     router_failed_.fetch_add(1, std::memory_order_relaxed);
     m_router_failed_->inc();
-    std::promise<QueryResult> pr;
-    pr.set_value(QueryResult::failure(
+    return ready_future(QueryResult::failure(
         ServeErrorCode::kExecFailed,
         "shard dispatch fault (shard " + std::to_string(s) + ")"));
-    return pr.get_future();
   }
   return routed_submit(node, deadline_ms);
 }
@@ -370,61 +365,46 @@ std::future<QueryResult> ShardedServer::routed_submit(std::int64_t node,
   const std::int32_t s = owner_[static_cast<std::size_t>(node)];
   Shard& st = shards_[static_cast<std::size_t>(s)];
 
-  std::promise<QueryResult> out;
-  std::future<QueryResult> fut = out.get_future();
-  {
-    std::unique_lock lock(inflight_mutex_);
-    if (closed_) {
-      out.set_value(QueryResult::failure(ServeErrorCode::kShutdown,
-                                         "sharded server is shutting down"));
-      return fut;
-    }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    const int r = pick_replica(s, 0);
-    if (r < 0) {
-      // Every replica down: the degraded-mode policy decides, without
-      // burning an inner submission on a server known to be dead.
-      if (opt_.degraded == DegradedPolicy::kServeStale) {
-        stale_served_.fetch_add(1, std::memory_order_relaxed);
-        answered_.fetch_add(1, std::memory_order_relaxed);
-        m_stale_->inc();
-        out.set_value(stale_answer(node));
-      } else {
-        replicas_exhausted_.fetch_add(1, std::memory_order_relaxed);
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        m_exhausted_->inc();
-        out.set_value(QueryResult::failure(
-            ServeErrorCode::kReplicasExhausted,
-            "no live replica for shard " + std::to_string(s)));
-      }
-      return fut;
-    }
-    InFlight q;
-    q.local = local_id_[static_cast<std::size_t>(node)];
-    q.shard = s;
-    q.out = std::move(out);
-    q.attempt_replica = r;
-    q.tried = 1u << r;
-    if (deadline_ms > 0.0) {
-      q.has_deadline = true;
-      q.deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                      std::chrono::duration<double, std::milli>(
-                                          deadline_ms));
-    }
-    if (opt_.hedge && replicas_ > 1) {
-      q.hedge_at =
-          Clock::now() +
-          std::chrono::duration_cast<Clock::duration>(
-              std::chrono::duration<double, std::milli>(
-                  st.hedge_delay_ms.load(std::memory_order_relaxed)));
-    } else {
-      q.hedge_fired = true;  // hedging off: never consider it
-    }
-    q.attempt = st.replicas[static_cast<std::size_t>(r)].server->submit(
-        q.local, deadline_ms);
-    inflight_.push_back(std::move(q));
+  std::unique_lock lock(inflight_mutex_);
+  if (closed_) {
+    return ready_future(QueryResult::failure(
+        ServeErrorCode::kShutdown, "sharded server is shutting down"));
   }
-  inflight_cv_.notify_all();
+  accepted_.fetch_add(1, std::memory_order_relaxed);
+  const int r = pick_replica(s, 0);
+  if (r < 0) {
+    // Every replica down: the degraded-mode policy decides, without
+    // burning an inner submission on a server known to be dead.
+    return ready_future(degraded_result(
+        node, /*all_down=*/true,
+        "no live replica for shard " + std::to_string(s)));
+  }
+  const Entry e = inflight_.emplace(inflight_.end());
+  InFlight& q = *e;
+  q.node = node;
+  q.local = local_id_[static_cast<std::size_t>(node)];
+  q.shard = s;
+  q.outstanding = q.submitting = 1;
+  q.tried = 1u << r;
+  const auto now = Clock::now();
+  if (deadline_ms > 0.0) {
+    q.has_deadline = true;
+    q.deadline = now + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double, std::milli>(
+                               deadline_ms));
+  }
+  if (opt_.hedge && replicas_ > 1) {
+    q.hedge_timer = hedge_timers_.emplace(
+        now + std::chrono::duration_cast<Clock::duration>(
+                  std::chrono::duration<double, std::milli>(
+                      st.hedge_delay_ms.load(std::memory_order_relaxed))),
+        e);
+    // The new earliest timer: the router may be sleeping past it.
+    if (*q.hedge_timer == hedge_timers_.begin()) router_cv_.notify_one();
+  }
+  std::future<QueryResult> fut = q.out.get_future();
+  lock.unlock();
+  dispatch(e, r, deadline_ms);
   return fut;
 }
 
@@ -446,12 +426,10 @@ std::vector<QueryResult> ShardedServer::query(
   // deterministically.
   std::vector<std::uint64_t> span_ids(static_cast<std::size_t>(num_shards_),
                                       0);
-  std::vector<std::uint8_t> dispatched(static_cast<std::size_t>(num_shards_),
-                                       0);
   for (std::int64_t s = 0; s < num_shards_; ++s) {
     const auto& slots = by_shard[static_cast<std::size_t>(s)];
     if (slots.empty()) continue;
-    if (!dispatch_allowed(s)) {
+    if (!dispatch_allowed()) {
       router_failed_.fetch_add(slots.size(), std::memory_order_relaxed);
       m_router_failed_->inc(static_cast<std::uint64_t>(slots.size()));
       for (const std::size_t i : slots) {
@@ -461,10 +439,8 @@ std::vector<QueryResult> ShardedServer::query(
       }
       continue;
     }
-    dispatched[static_cast<std::size_t>(s)] = 1;
     if (obs::trace::enabled()) {
-      const std::uint64_t id =
-          next_span_id_.fetch_add(1, std::memory_order_relaxed);
+      const std::uint64_t id = obs::trace::next_async_id();
       span_ids[static_cast<std::size_t>(s)] = id;
       obs::trace::async_begin("serve.shard_exec", id);
     }
@@ -473,9 +449,8 @@ std::vector<QueryResult> ShardedServer::query(
     }
   }
   for (std::int64_t s = 0; s < num_shards_; ++s) {
-    if (dispatched[static_cast<std::size_t>(s)] == 0) continue;
     for (const std::size_t i : by_shard[static_cast<std::size_t>(s)]) {
-      results[i] = futures[i].get();
+      if (futures[i].valid()) results[i] = futures[i].get();
     }
     if (span_ids[static_cast<std::size_t>(s)] != 0) {
       obs::trace::async_end("serve.shard_exec",
@@ -485,188 +460,143 @@ std::vector<QueryResult> ShardedServer::query(
   return results;
 }
 
-void ShardedServer::resolve_ok(InFlight& q, QueryResult result) {
-  answered_.fetch_add(1, std::memory_order_relaxed);
+void ShardedServer::dispatch(Entry e, int replica, double deadline_ms) {
+  const InFlight& q = *e;
+  shards_[static_cast<std::size_t>(q.shard)]
+      .replicas[static_cast<std::size_t>(replica)]
+      .server->submit(q.local, deadline_ms,
+                      [this, e, replica](QueryResult result) {
+                        on_answer(e, replica, std::move(result));
+                      });
+  // The entry outlives the submit CALL, not only its callback: the call
+  // can still be inside the inner server after a callback — this one's,
+  // or a query's it evicted — has let the destructor go ahead.
+  std::lock_guard lock(inflight_mutex_);
+  --e->submitting;
+  retire_if_idle(e);
+}
+
+void ShardedServer::on_answer(Entry e, int replica, QueryResult result) {
+  InFlight& q = *e;  // alive: this dispatch is still outstanding
+  if (q.probe) {
+    if (obs::trace::enabled()) {
+      obs::trace::async_end("serve.replica_probe", q.span);
+    }
+    std::lock_guard lock(health_mutex_);
+    Replica& rep = shards_[static_cast<std::size_t>(q.shard)]
+                       .replicas[static_cast<std::size_t>(replica)];
+    rep.probing = false;
+    if (result.ok() && rep.health == ReplicaHealth::kDown) {
+      rep.failure_streak = 0;
+      set_health_locked(q.shard, replica, ReplicaHealth::kRecovering);
+      readmissions_.fetch_add(1, std::memory_order_relaxed);
+      m_readmit_->inc();
+    }
+  } else {
+    note_result(q.shard, replica, result);
+  }
+
+  std::lock_guard lock(inflight_mutex_);
+  --q.outstanding;
+  const bool hedge = replica == q.hedge;
+  if (hedge) q.hedge = -1;
+  if (!q.probe && !q.resolved) {
+    if (result.ok()) {
+      // First answer wins; a dispatch still outstanding is the loser, and
+      // its verdict only feeds the health machine.
+      if (hedge) {
+        hedge_wins_.fetch_add(1, std::memory_order_relaxed);
+        m_hedge_wins_->inc();
+      }
+      answered_.fetch_add(1, std::memory_order_relaxed);
+      settle(q, std::move(result));
+    } else {
+      if (!q.first_error) q.first_error = result.error();
+      // Failover: a failed primary re-dispatches to the next live replica
+      // the query has not tried, within its remaining deadline budget.
+      // Teardown (closed_) and terminal codes stop the cascade; a failed
+      // hedge leaves the verdict to the primary. The router thread sends
+      // it: this callback may be running inside an inner submit (a
+      // refusal, or under kShedOldest an eviction), and sending from here
+      // would nest one submit per query of a shed cascade.
+      const auto now = Clock::now();
+      int next = -1;
+      if (!hedge && !closed_ &&
+          result.error().code != ServeErrorCode::kShutdown &&
+          (!q.has_deadline || now < q.deadline)) {
+        next = pick_replica(q.shard, q.tried);
+      }
+      if (next >= 0) {
+        q.tried |= 1u << next;
+        ++q.failovers;
+        failovers_.fetch_add(1, std::memory_order_relaxed);
+        m_failover_->inc();
+        ++q.outstanding;
+        ++q.submitting;
+        failovers_due_.push_back({e, next, remaining_ms(q, now)});
+        router_cv_.notify_one();
+      } else if (q.outstanding == 0) {
+        settle(q, failure_result(q, result.error()));
+      }
+    }
+  }
+  retire_if_idle(e);
+}
+
+void ShardedServer::retire_if_idle(Entry e) {
+  if (e->outstanding > 0 || e->submitting > 0) return;
+  const bool last_probe = e->probe && --probes_in_flight_ == 0;
+  inflight_.erase(e);
+  if (inflight_.empty() || last_probe) inflight_cv_.notify_all();
+}
+
+void ShardedServer::settle(InFlight& q, QueryResult result) {
+  q.resolved = true;
+  if (q.hedge_timer) {
+    hedge_timers_.erase(*q.hedge_timer);
+    q.hedge_timer.reset();
+  }
   q.out.set_value(std::move(result));
 }
 
-void ShardedServer::resolve_failure(InFlight& q, const ServeError& err) {
-  if (opt_.degraded == DegradedPolicy::kServeStale &&
-      shard_all_down(q.shard)) {
-    // The whole shard died under this query: same degraded contract as a
-    // query that arrived after the last replica went down.
-    const Shard& st = shards_[static_cast<std::size_t>(q.shard)];
-    const std::int64_t global =
-        st.replicas[0].server->config().report_ids->at(
-            static_cast<std::size_t>(q.local));
+QueryResult ShardedServer::failure_result(const InFlight& q,
+                                          const ServeError& err) {
+  // The router DID fail over and still lost — or the whole shard died
+  // under this query: same contract as a query that arrived after the
+  // last replica went down. One health read decides both.
+  const bool all_down = opt_.degraded == DegradedPolicy::kServeStale &&
+                        shard_all_down(q.shard);
+  if (q.failovers > 0 || all_down) {
+    return degraded_result(
+        q.node, all_down,
+        "failover exhausted after " + std::to_string(q.failovers) +
+            " attempt(s) on shard " + std::to_string(q.shard) +
+            "; first error: " + q.first_error->message);
+  }
+  failed_.fetch_add(1, std::memory_order_relaxed);
+  return QueryResult::failure(err.code, err.message);
+}
+
+QueryResult ShardedServer::degraded_result(std::int64_t node, bool all_down,
+                                           const std::string& message) {
+  if (opt_.degraded == DegradedPolicy::kServeStale && all_down) {
     stale_served_.fetch_add(1, std::memory_order_relaxed);
     answered_.fetch_add(1, std::memory_order_relaxed);
     m_stale_->inc();
-    q.out.set_value(stale_answer(global));
-    return;
+    return stale_answer(node);
   }
+  // A distinct code, so clients (and loadgen buckets) can tell a dead
+  // replica set from one slow server.
+  replicas_exhausted_.fetch_add(1, std::memory_order_relaxed);
   failed_.fetch_add(1, std::memory_order_relaxed);
-  if (q.failovers > 0) {
-    // The router DID fail over and still lost: report the distinct code
-    // so clients (and loadgen buckets) can tell a dead replica set from
-    // one slow server.
-    replicas_exhausted_.fetch_add(1, std::memory_order_relaxed);
-    m_exhausted_->inc();
-    q.out.set_value(QueryResult::failure(
-        ServeErrorCode::kReplicasExhausted,
-        "failover exhausted after " + std::to_string(q.failovers) +
-            " attempt(s) on shard " + std::to_string(q.shard) +
-            "; first error: " + q.first_error.message));
-    return;
-  }
-  q.out.set_value(QueryResult::failure(err.code, err.message));
+  m_exhausted_->inc();
+  return QueryResult::failure(ServeErrorCode::kReplicasExhausted, message);
 }
 
-double ShardedServer::remaining_deadline_ms(const InFlight& q,
-                                            Clock::time_point now,
-                                            double fallback) const {
-  if (!q.has_deadline) return fallback;
+double ShardedServer::remaining_ms(const InFlight& q,
+                                   Clock::time_point now) const {
+  if (!q.has_deadline) return 0.0;
   return std::chrono::duration<double, std::milli>(q.deadline - now).count();
-}
-
-bool ShardedServer::collector_pass() {
-  // inflight_mutex_ held by the caller. Inner submits and promise
-  // resolution both happen under it: the inner servers never take router
-  // locks, so there is no ordering cycle.
-  bool progress = false;
-  const auto now = Clock::now();
-
-  for (auto it = zombies_.begin(); it != zombies_.end();) {
-    if (it->fut.wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready) {
-      const QueryResult r = it->fut.get();
-      note_result(it->shard, it->replica, r.ok(),
-                  r.ok() ? ServeErrorCode::kShutdown : r.error().code);
-      it = zombies_.erase(it);
-      progress = true;
-    } else {
-      ++it;
-    }
-  }
-
-  for (auto it = inflight_.begin(); it != inflight_.end();) {
-    InFlight& q = *it;
-    bool done = false;
-
-    // Hedge verdict first: a win resolves the query and demotes the
-    // primary to a zombie (drained above for health accounting only).
-    if (q.hedge.valid() && q.hedge.wait_for(std::chrono::seconds(0)) ==
-                               std::future_status::ready) {
-      QueryResult r = q.hedge.get();
-      note_result(q.shard, q.hedge_replica, r.ok(),
-                  r.ok() ? ServeErrorCode::kShutdown : r.error().code);
-      progress = true;
-      if (r.ok()) {
-        hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-        m_hedge_wins_->inc();
-        if (q.attempt.valid()) {
-          zombies_.push_back(
-              Zombie{std::move(q.attempt), q.shard, q.attempt_replica});
-        }
-        resolve_ok(q, std::move(r));
-        done = true;
-      } else {
-        if (!q.failed_before) {
-          q.failed_before = true;
-          q.first_error = r.error();
-        }
-        q.hedge = {};
-        if (!q.attempt.valid()) {
-          // The primary already failed and was not re-dispatched; the
-          // hedge was the last dispatch standing.
-          resolve_failure(q, r.error());
-          done = true;
-        }
-      }
-    }
-
-    if (!done && q.attempt.valid() &&
-        q.attempt.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready) {
-      QueryResult r = q.attempt.get();
-      note_result(q.shard, q.attempt_replica, r.ok(),
-                  r.ok() ? ServeErrorCode::kShutdown : r.error().code);
-      progress = true;
-      if (r.ok()) {
-        if (q.hedge.valid()) {
-          zombies_.push_back(
-              Zombie{std::move(q.hedge), q.shard, q.hedge_replica});
-        }
-        resolve_ok(q, std::move(r));
-        done = true;
-      } else {
-        if (!q.failed_before) {
-          q.failed_before = true;
-          q.first_error = r.error();
-        }
-        // Failover: re-dispatch to the next live replica the query has
-        // not tried, within its remaining deadline budget. Teardown
-        // (collector_stop_) and terminal codes stop the cascade.
-        const bool budget_ok = !q.has_deadline || now < q.deadline;
-        int next = -1;
-        if (!collector_stop_ && budget_ok &&
-            r.error().code != ServeErrorCode::kShutdown) {
-          next = pick_replica(q.shard, q.tried);
-        }
-        if (next >= 0) {
-          q.tried |= 1u << next;
-          ++q.failovers;
-          failovers_.fetch_add(1, std::memory_order_relaxed);
-          m_failover_->inc();
-          q.attempt_replica = next;
-          Shard& st = shards_[static_cast<std::size_t>(q.shard)];
-          q.attempt =
-              st.replicas[static_cast<std::size_t>(next)].server->submit(
-                  q.local, remaining_deadline_ms(q, now, 0.0));
-        } else if (q.hedge.valid()) {
-          q.attempt = {};  // let the still-racing hedge decide
-        } else {
-          resolve_failure(q, r.error());
-          done = true;
-        }
-      }
-    }
-
-    // Hedged dispatch: the primary has outlived the shard's latency
-    // quantile — race a second replica, first answer wins.
-    if (!done && !q.hedge_fired && q.attempt.valid() && now >= q.hedge_at &&
-        !collector_stop_) {
-      q.hedge_fired = true;
-      const int h = pick_replica(q.shard, q.tried);
-      if (h >= 0) {
-        q.tried |= 1u << h;
-        q.hedge_replica = h;
-        hedges_.fetch_add(1, std::memory_order_relaxed);
-        m_hedge_->inc();
-        Shard& st = shards_[static_cast<std::size_t>(q.shard)];
-        q.hedge = st.replicas[static_cast<std::size_t>(h)].server->submit(
-            q.local, remaining_deadline_ms(q, now, 0.0));
-        progress = true;
-      }
-    }
-
-    it = done ? inflight_.erase(it) : std::next(it);
-  }
-  return progress;
-}
-
-void ShardedServer::collector_loop() {
-  std::unique_lock lock(inflight_mutex_);
-  for (;;) {
-    const bool progress = collector_pass();
-    if (inflight_.empty() && zombies_.empty()) {
-      inflight_cv_.notify_all();  // wake drain()
-      if (collector_stop_) return;
-    }
-    if (!progress) {
-      inflight_cv_.wait_for(lock, kCollectorIdleWait);
-    }
-  }
 }
 
 void ShardedServer::refresh_hedge_delays() {
@@ -685,74 +615,113 @@ void ShardedServer::refresh_hedge_delays() {
   }
 }
 
-void ShardedServer::probe_down_replicas() {
-  for (std::int64_t s = 0; s < num_shards_; ++s) {
-    Shard& st = shards_[static_cast<std::size_t>(s)];
-    for (std::size_t r = 0; r < st.replicas.size(); ++r) {
-      {
-        std::lock_guard lock(health_mutex_);
-        if (st.replicas[r].health != ReplicaHealth::kDown) continue;
-      }
-      // Canary: a known-good owned node, through the replica's ordinary
-      // batch path — the probe proves the whole dispatch/execute loop,
-      // not just process liveness. Blocking on a dedicated thread; the
-      // probe deadline bounds the wait.
-      probes_.fetch_add(1, std::memory_order_relaxed);
-      m_probe_->inc();
-      const std::uint64_t span =
-          next_span_id_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::trace::enabled()) {
-        obs::trace::async_begin("serve.replica_probe", span);
-      }
-      std::future<QueryResult> fut =
-          st.replicas[r].server->submit(st.probe_local,
-                                        opt_.probe_deadline_ms);
-      const QueryResult res = fut.get();
-      if (obs::trace::enabled()) {
-        obs::trace::async_end("serve.replica_probe", span);
-      }
-      if (res.ok()) {
-        std::lock_guard lock(health_mutex_);
-        if (st.replicas[r].health == ReplicaHealth::kDown) {
-          st.replicas[r].failure_streak = 0;
-          set_health_locked(s, static_cast<int>(r),
-                            ReplicaHealth::kRecovering);
-          readmissions_.fetch_add(1, std::memory_order_relaxed);
-          m_readmit_->inc();
-        }
-      }
-    }
-  }
-}
-
-void ShardedServer::probe_loop() {
+void ShardedServer::router_loop() {
+  std::vector<Send> sends;
   const auto interval = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(
           std::max(1.0, opt_.probe_interval_ms)));
-  std::unique_lock lock(probe_mutex_);
-  while (!probe_stop_) {
-    probe_cv_.wait_for(lock, interval, [this] { return probe_stop_; });
-    if (probe_stop_) return;
+  auto next_probe = Clock::now() + interval;
+  std::unique_lock lock(inflight_mutex_);
+  for (;;) {
+    const Clock::time_point wake =
+        hedge_timers_.empty()
+            ? next_probe
+            : std::min(next_probe, hedge_timers_.begin()->first);
+    router_cv_.wait_until(lock, wake, [&] {
+      return closed_ || !failovers_due_.empty() ||
+             (!hedge_timers_.empty() && hedge_timers_.begin()->first < wake);
+    });
+    auto now = Clock::now();
+
+    if (!closed_ && now >= next_probe) {
+      next_probe = now + interval;
+      lock.unlock();
+      refresh_hedge_delays();
+      lock.lock();
+      // Canary: a known-good owned node, through the replica's ordinary
+      // batch path — the probe proves the whole dispatch/execute loop,
+      // not just process liveness. One outstanding probe per replica;
+      // its deadline bounds how long a hung replica holds it.
+      std::lock_guard health_lock(health_mutex_);
+      for (std::int64_t s = 0; s < num_shards_ && !closed_; ++s) {
+        Shard& st = shards_[static_cast<std::size_t>(s)];
+        for (std::size_t r = 0; r < st.replicas.size(); ++r) {
+          Replica& rep = st.replicas[r];
+          if (rep.health != ReplicaHealth::kDown || rep.probing) continue;
+          rep.probing = true;
+          const Entry e = inflight_.emplace(inflight_.end());
+          e->probe = true;
+          e->shard = static_cast<std::int32_t>(s);
+          e->local = st.probe_local;
+          e->outstanding = e->submitting = 1;
+          e->span = obs::trace::next_async_id();
+          ++probes_in_flight_;
+          probes_.fetch_add(1, std::memory_order_relaxed);
+          m_probe_->inc();
+          if (obs::trace::enabled()) {
+            obs::trace::async_begin("serve.replica_probe", e->span);
+          }
+          sends.push_back({e, static_cast<int>(r), opt_.probe_deadline_ms});
+        }
+      }
+    }
+
+    // Hedged dispatch: each due query's primary has outlived the shard's
+    // latency quantile — race a second replica, first answer wins.
+    now = Clock::now();
+    while (!closed_ && !hedge_timers_.empty() &&
+           hedge_timers_.begin()->first <= now) {
+      const Entry e = hedge_timers_.begin()->second;
+      hedge_timers_.erase(hedge_timers_.begin());
+      InFlight& q = *e;
+      q.hedge_timer.reset();
+      const int h = pick_replica(q.shard, q.tried);
+      if (h < 0) continue;
+      q.tried |= 1u << h;
+      q.hedge = h;
+      ++q.outstanding;
+      ++q.submitting;
+      hedges_.fetch_add(1, std::memory_order_relaxed);
+      m_hedge_->inc();
+      sends.push_back({e, h, remaining_ms(q, now)});
+    }
+
+    // Failovers go out even once closed: the destructor waits for them,
+    // and on_answer() queues none after closed_ is set.
+    sends.insert(sends.end(), failovers_due_.begin(), failovers_due_.end());
+    failovers_due_.clear();
+    if (sends.empty()) {
+      if (closed_) return;
+      continue;
+    }
+    redispatches_ += sends.size();
+    inflight_cv_.notify_all();
     lock.unlock();
-    refresh_hedge_delays();
-    probe_down_replicas();
+    for (const Send& send : sends) {
+      dispatch(send.e, send.replica, send.deadline_ms);
+    }
+    sends.clear();
     lock.lock();
   }
 }
 
 void ShardedServer::drain() {
-  // Inner drains flush partial batches; failover re-dispatches can
-  // create NEW inner work after a drain pass, so loop until the router
-  // itself is idle. Failovers are bounded per query (each replica tried
-  // at most once), so this terminates.
-  for (;;) {
+  // Inner drains flush partial batches; failover re-dispatches, hedges
+  // and probes can create NEW inner work after a drain pass, so drain
+  // again whenever one was sent, until the router itself is idle.
+  // Failovers and hedges are bounded per query (each replica tried at
+  // most once), and a replica gets its next probe only at the probe tick
+  // after its last one answered, so an idle moment always comes.
+  std::unique_lock lock(inflight_mutex_);
+  while (!inflight_.empty()) {
+    const std::uint64_t seen = redispatches_;
+    lock.unlock();
     for (Shard& st : shards_) {
       for (Replica& r : st.replicas) r.server->drain();
     }
-    std::unique_lock lock(inflight_mutex_);
-    if (inflight_.empty() && zombies_.empty()) return;
-    inflight_cv_.wait_for(lock, std::chrono::milliseconds(1), [this] {
-      return inflight_.empty() && zombies_.empty();
+    lock.lock();
+    inflight_cv_.wait(lock, [&] {
+      return inflight_.empty() || redispatches_ != seen;
     });
   }
 }
@@ -788,11 +757,19 @@ std::vector<std::vector<ReplicaHealth>> ShardedServer::replica_health()
 }
 
 ShardedStats ShardedServer::stats() const {
+  // A canary probe in flight reads as submitted but unresolved on its
+  // replica, though no client sent it. Wait out the ones in flight (a
+  // hung replica holds this until it answers or expires its probe), then
+  // read under health_mutex_, which the router holds to start a probe, so
+  // the counts below are a cut no probe is part-way through.
+  std::unique_lock lock(inflight_mutex_);
+  inflight_cv_.wait(lock, [this] { return probes_in_flight_ == 0; });
+  std::lock_guard health_lock(health_mutex_);
+  lock.unlock();
   ShardedStats out;
   out.shards.resize(static_cast<std::size_t>(num_shards_));
   out.replicas.resize(static_cast<std::size_t>(num_shards_));
   obs::HistogramData merged;
-  const std::vector<std::vector<ReplicaHealth>> health = replica_health();
   for (std::int64_t s = 0; s < num_shards_; ++s) {
     const Shard& st = shards_[static_cast<std::size_t>(s)];
     ServerStats& shard_total = out.shards[static_cast<std::size_t>(s)];
@@ -800,7 +777,7 @@ ShardedStats ShardedServer::stats() const {
       ServerStats rs = st.replicas[r].server->stats();
       ReplicaStats entry;
       entry.server = rs;
-      entry.health = health[static_cast<std::size_t>(s)][r];
+      entry.health = st.replicas[r].health;
       out.replicas[static_cast<std::size_t>(s)].push_back(entry);
       for (ServerStats* acc : {&shard_total, &out.total}) {
         acc->submitted += rs.submitted;

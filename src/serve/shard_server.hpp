@@ -28,21 +28,34 @@
 //
 //     healthy -> suspect -> down -> recovering -> healthy
 //
-// driven by consecutive ExecFailed/DeadlineExceeded results; a
-// background canary-probe thread re-runs a known-good owned-node query
-// against each down replica and readmits it (kRecovering) only after the
-// probe answers. Routing prefers healthy/recovering replicas
-// (round-robin), falls back to suspect ones, and never dispatches to a
-// down replica. On a replica failure the router re-dispatches the query
-// to the next live replica within its remaining deadline budget
-// (failover); optionally it hedges — fires a second replica once the
-// first is slower than the shard's observed latency quantile, first
-// result wins, the loser is cancelled at the accounting layer (its
-// result feeds health state but never the client). When EVERY replica of
-// a shard is down, the degraded-mode policy decides: fail fast
-// (kFailShardQueries -> kReplicasExhausted) or answer from a stale
-// cached-full logits table computed at construction (kServeStale,
-// Prediction::stale = true, bit-exact for the frozen model).
+// driven by consecutive ExecFailed/DeadlineExceeded results; every probe
+// interval the router sends a canary — a known-good owned-node query — to
+// each down replica and readmits it (kRecovering) only after the probe
+// answers. Routing prefers healthy/recovering replicas (round-robin),
+// falls back to suspect ones, and never dispatches to a down replica. On
+// a replica failure the router re-dispatches the query to the next live
+// replica within its remaining deadline budget (failover); optionally it
+// hedges — fires a second replica once the first is slower than the
+// shard's observed latency quantile, first result wins, the loser is
+// cancelled at the accounting layer (its result feeds health state but
+// never the client). When EVERY replica of a shard is down, the
+// degraded-mode policy decides: fail fast (kFailShardQueries ->
+// kReplicasExhausted) or answer from a stale cached-full logits table
+// computed at construction (kServeStale, Prediction::stale = true,
+// bit-exact for the frozen model).
+//
+// The router is told, not polling: every inner dispatch — first attempt,
+// failover, hedge and canary probe — carries a BatchServer completion
+// callback into one handler, which feeds the health machine, resolves the
+// client, re-dispatches on failure, and retires the query once no
+// dispatch of it is outstanding (a hedge loser is just one more
+// outstanding dispatch). One router thread wakes only when a probe is due,
+// a hedged query reaches its hedge deadline or a failover is queued, and
+// sends them without waiting for their answers. A callback never
+// dispatches itself: it can run inside an inner submit (a refusal, or
+// under kShedOldest an eviction), and a failover sent from there would
+// nest another submit, and so on through a full queue. No router lock is
+// held across an inner submit, because its callback may run inline.
 //
 // Fault containment follows the shard boundary: a serve.shard_dispatch
 // fault — and any fault inside one shard's replica set — fails only that
@@ -63,8 +76,10 @@
 #include <cstdint>
 #include <future>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -131,8 +146,8 @@ struct ShardServerOptions {
   double probe_interval_ms = 20.0;
   double probe_deadline_ms = 1000.0;
   /// Hedged dispatch: once a query has waited `hedge_quantile` of the
-  /// shard's observed latency distribution (refreshed by the probe
-  /// thread, never below hedge_min_delay_ms), fire it on a second live
+  /// shard's observed latency distribution (refreshed every probe
+  /// interval, never below hedge_min_delay_ms), fire it on a second live
   /// replica; first answer wins.
   bool hedge = false;
   double hedge_quantile = 0.99;
@@ -212,8 +227,8 @@ class ShardedServer {
 
   /// Block until every accepted query has fully resolved — including
   /// failover re-dispatches still in flight and hedge losers still owed
-  /// to the accounting layer. Safe to call while the probe thread is
-  /// readmitting a replica.
+  /// to the accounting layer — and no canary probe is outstanding. Safe
+  /// to call while a probe is readmitting a replica.
   void drain();
 
   /// Client-side retry telemetry (router level).
@@ -222,6 +237,9 @@ class ShardedServer {
   /// Merged full-lifetime latency distribution across all replicas.
   obs::HistogramData latency_snapshot() const;
 
+  /// Waits out any canary probe in flight (and lets none start while it
+  /// reads), so a probe never reads as an unresolved replica submission;
+  /// a hung replica's probe holds the call until the probe resolves.
   ShardedStats stats() const;
 
   /// Current health of every replica: [shard][replica] (empty shards {}).
@@ -247,6 +265,7 @@ class ShardedServer {
     // Guarded by health_mutex_.
     ReplicaHealth health = ReplicaHealth::kHealthy;
     int failure_streak = 0;
+    bool probing = false;  ///< a canary probe is outstanding
     obs::Gauge* m_health = nullptr;
   };
 
@@ -255,54 +274,48 @@ class ShardedServer {
     std::uint64_t rr = 0;           ///< round-robin cursor (health_mutex_)
     std::int64_t probe_local = -1;  ///< known-good owned node (local id)
     std::atomic<double> hedge_delay_ms{1.0};
-
-    Shard() = default;
-    // The atomic blocks the defaults; moves happen only during the
-    // construction-time shards_.resize(), before any thread runs.
-    Shard(Shard&& o) noexcept
-        : replicas(std::move(o.replicas)),
-          rr(o.rr),
-          probe_local(o.probe_local),
-          hedge_delay_ms(o.hedge_delay_ms.load(std::memory_order_relaxed)) {}
-    Shard& operator=(Shard&&) = delete;
   };
 
-  /// One client query the router has accepted and not yet resolved.
-  /// Owned by inflight_ and serviced by the collector thread.
+  /// One unfinished dispatch chain: a client query (its first attempt,
+  /// failovers and hedge) or a canary probe. Owned by inflight_ and
+  /// guarded by inflight_mutex_; each dispatch holds an Entry, which
+  /// stays valid because the entry is erased only once every dispatch of
+  /// it has called back and returned from its inner submit.
+  struct InFlight;
+  using Entry = std::list<InFlight>::iterator;
+  /// Armed hedges by fire time.
+  using HedgeTimers = std::multimap<Clock::time_point, Entry>;
+  /// One dispatch the router thread owes: a failover, hedge or probe.
+  struct Send {
+    Entry e;
+    int replica;
+    double deadline_ms;
+  };
   struct InFlight {
-    std::int64_t local = 0;
+    std::int64_t node = 0;   ///< global id
+    std::int64_t local = 0;  ///< id in the owner shard
     std::int32_t shard = 0;
-    std::promise<QueryResult> out;
-    std::future<QueryResult> attempt;  ///< current primary dispatch
-    int attempt_replica = -1;
-    std::future<QueryResult> hedge;  ///< racing dispatch (valid iff fired)
-    int hedge_replica = -1;
-    Clock::time_point hedge_at;
-    bool hedge_fired = false;
+    bool probe = false;      ///< canary: no client; an answer readmits
+    std::uint64_t span = 0;  ///< probe trace-span id
+    std::promise<QueryResult> out;  ///< the client's result
+    bool resolved = false;          ///< `out` is set
+    int outstanding = 0;  ///< dispatches whose callback has not run
+    int submitting = 0;   ///< dispatches still inside an inner submit
+    int hedge = -1;       ///< replica of the outstanding hedge, or -1
+    std::optional<HedgeTimers::iterator> hedge_timer;  ///< while armed
     bool has_deadline = false;
     Clock::time_point deadline;
     std::uint32_t tried = 0;  ///< bitmask of replicas dispatched to
     int failovers = 0;
-    ServeError first_error;  ///< first replica failure (diagnostics)
-    bool failed_before = false;
+    std::optional<ServeError> first_error;  ///< for diagnostics
   };
 
-  /// A hedge loser: its future must still be drained so its verdict
-  /// reaches the health machine — cancelled at the accounting layer, not
-  /// abandoned mid-air.
-  struct Zombie {
-    std::future<QueryResult> fut;
-    std::int32_t shard = 0;
-    int replica = -1;
-  };
-
-  /// The serve.shard_dispatch boundary: returns true if dispatch to
-  /// `shard` may proceed, false if a fault was injected (counted).
-  bool dispatch_allowed(std::int64_t shard);
+  /// The serve.shard_dispatch boundary: returns true if a dispatch may
+  /// proceed, false if a fault was injected (the caller counts it).
+  bool dispatch_allowed();
 
   /// Post-dispatch-check submit: route `node` to a live replica (or the
-  /// degraded path) and hand the entry to the collector. Requires
-  /// inflight_mutex_ NOT held.
+  /// degraded path) and dispatch it.
   std::future<QueryResult> routed_submit(std::int64_t node,
                                          double deadline_ms);
 
@@ -313,28 +326,42 @@ class ShardedServer {
   bool shard_all_down(std::int64_t shard) const;
 
   /// Feed one replica verdict into the health state machine.
-  void note_result(std::int64_t shard, int replica, bool ok,
-                   ServeErrorCode code);
+  void note_result(std::int64_t shard, int replica,
+                   const QueryResult& result);
   /// health_mutex_ held.
   void set_health_locked(std::int64_t shard, int replica, ReplicaHealth h);
 
-  /// Resolve `q` as a failure — or a stale answer if the shard is fully
-  /// down under kServeStale. Counts router accounting.
-  void resolve_failure(InFlight& q, const ServeError& err);
-  void resolve_ok(InFlight& q, QueryResult result);
+  /// Submit `e`'s node to `replica` with on_answer() as the callback.
+  /// No router lock may be held: the callback can run inline. Only the
+  /// client's first attempt and the router thread dispatch — never a
+  /// callback — so an inline callback never nests a second submit.
+  void dispatch(Entry e, int replica, double deadline_ms);
+  /// The one completion handler every dispatch calls back into.
+  void on_answer(Entry e, int replica, QueryResult result);
+  /// Erase `e` once it has nothing outstanding (inflight_mutex_ held).
+  void retire_if_idle(Entry e);
+  /// Set `q`'s client result and disarm its hedge (inflight_mutex_ held).
+  void settle(InFlight& q, QueryResult result);
+  /// The client verdict for `q` after its last dispatch failed with
+  /// `err`: the error itself, or — once the router failed over, or the
+  /// whole shard is down — degraded_result(). Counts router accounting.
+  QueryResult failure_result(const InFlight& q, const ServeError& err);
+  /// The verdict for a query whose shard ran out of live replicas: the
+  /// stale-table answer under kServeStale when the caller found every
+  /// replica down (`all_down`), else kReplicasExhausted with `message`.
+  /// Counts router accounting.
+  QueryResult degraded_result(std::int64_t node, bool all_down,
+                              const std::string& message);
   /// The stale-table answer for a global node (kServeStale only).
   QueryResult stale_answer(std::int64_t global_node) const;
 
-  void collector_loop();
-  /// One collector pass over inflight_ + zombies_ (inflight_mutex_
-  /// held). Returns true if anything progressed.
-  bool collector_pass();
-  void probe_loop();
-  void probe_down_replicas();
+  /// The router thread: sleeps until a probe is due, the earliest armed
+  /// hedge fires or a failover is queued, then sends them.
+  void router_loop();
   void refresh_hedge_delays();
 
-  double remaining_deadline_ms(const InFlight& q, Clock::time_point now,
-                               double fallback) const;
+  /// Milliseconds left of `q`'s deadline; 0 (none) if it has none.
+  double remaining_ms(const InFlight& q, Clock::time_point now) const;
 
   ShardServerOptions opt_;
   std::int64_t num_shards_ = 0;
@@ -352,22 +379,21 @@ class ShardedServer {
 
   mutable std::mutex health_mutex_;
 
+  // Lock order: inflight_mutex_ before health_mutex_.
   mutable std::mutex inflight_mutex_;
-  std::condition_variable inflight_cv_;  ///< collector wake + drain wait
+  /// drain() and destructor wait: inflight_ emptied or a re-dispatch made.
+  mutable std::condition_variable inflight_cv_;
+  /// Router wake: stop, an earlier hedge timer, a queued failover.
+  std::condition_variable router_cv_;
   std::list<InFlight> inflight_;
-  std::list<Zombie> zombies_;
-  bool closed_ = false;          ///< intake closed (destructor phase 1)
-  bool collector_stop_ = false;  ///< finish inflight_, no new dispatches
-  std::thread collector_;
-
-  std::mutex probe_mutex_;
-  std::condition_variable probe_cv_;
-  bool probe_stop_ = false;
-  std::thread probe_;
+  HedgeTimers hedge_timers_;
+  std::vector<Send> failovers_due_;  ///< queued by on_answer()
+  std::uint64_t redispatches_ = 0;  ///< failovers, hedges and probes sent
+  int probes_in_flight_ = 0;        ///< probe entries not yet retired
+  bool closed_ = false;  ///< no new queries, failovers, hedges or probes
 
   std::atomic<std::uint64_t> router_failed_{0};
   std::atomic<std::uint64_t> retries_observed_{0};
-  std::atomic<std::uint64_t> next_span_id_{1};
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> answered_{0};
   std::atomic<std::uint64_t> failed_{0};
@@ -388,6 +414,8 @@ class ShardedServer {
   obs::Counter* m_readmit_ = nullptr;
   obs::Counter* m_stale_ = nullptr;
   obs::Counter* m_exhausted_ = nullptr;
+
+  std::thread router_;  ///< last: it uses every member above
 };
 
 }  // namespace gsoup::serve

@@ -34,6 +34,7 @@
 
 #include "graph/generator.hpp"
 #include "nn/model.hpp"
+#include "obs/metrics.hpp"
 #include "serve/engine.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/shard_server.hpp"
@@ -169,7 +170,7 @@ struct ChaosRig {
 };
 
 /// Poll until `pred` is true or ~5s elapse. Chaos eventualities (probe
-/// readmission, collector drain) are asserted through this, never as
+/// readmission, router drain) are asserted through this, never as
 /// exact timings.
 template <typename Pred>
 bool eventually(Pred pred, int timeout_ms = 5000) {
@@ -360,6 +361,175 @@ TEST(ChaosHedge, HedgeBeatsDelayedReplicaWithoutLosingAccounting) {
   expect_exact_accounting(st, "hedge");
   // A slow replica is not an unhealthy one: delay is not a failure.
   EXPECT_EQ(server.replica_health()[0][0], serve::ReplicaHealth::kHealthy);
+}
+
+TEST(ChaosHedge, HedgeFiresOnTimeWhileAProbeIsOutstanding) {
+  FailpointCleanup cleanup;
+  const ChaosRig rig;
+  // Queries admitted to replica (s, r) and not yet resolved, from the
+  // registry's process-wide counters (earlier servers' shed queries stay
+  // in this total, hence the baseline).
+  const auto unresolved = [](int s, int r) {
+    const std::string l = obs::format_label("shard", std::to_string(s)) +
+                          "," +
+                          obs::format_label("replica", std::to_string(r));
+    const auto value = [&](const char* name) {
+      return static_cast<std::int64_t>(
+          obs::counter(std::string("serve.shard.") + name, l).value());
+    };
+    // Signed: the registry counts a submission just after admitting it,
+    // so a fast answer can be counted first and the difference can dip
+    // below the baseline for a moment.
+    return value("submitted") - value("queries") -
+           value("deadline_expired") - value("failed_queries") -
+           value("shutdown_failed");
+  };
+  const std::int64_t r0_unresolved = unresolved(0, 0);
+  serve::ShardServerOptions sopt = rig.options(/*replicas=*/3);
+  sopt.hedge = true;
+  sopt.hedge_min_delay_ms = 2.0;
+  serve::ShardedServer server(rig.snap, rig.shards, rig.data.features,
+                              sopt);
+
+  // Down replica (0,0): round-robin starts there, so the first shard-0
+  // query faults on it (its answer may come from a failover or a hedge
+  // first, hence the wait for the verdict).
+  const std::string r0 = serve::replica_exec_failpoint(0, 0);
+  failpoint::arm_from_string(r0 + "=error");
+  ASSERT_TRUE(server.submit(rig.owned_node(0)).get().ok());
+  ASSERT_TRUE(eventually([&] {
+    return server.replica_health()[0][0] == serve::ReplicaHealth::kDown;
+  })) << "the killed replica was never marked down";
+
+  // Hold its canary probes: the replica now answers, but only after
+  // 1.5 s. Only probes reach a down replica, so once one is admitted
+  // there, a probe stays outstanding (that one, or — if it ran before
+  // the delay was armed — the next) and the replica stays down for the
+  // whole hedge phase below. stats() waits probes out, so this phase
+  // reads the registry's counters instead.
+  failpoint::arm_from_string(r0 + "=delay:1500");
+  ASSERT_TRUE(eventually([&] { return unresolved(0, 0) > r0_unresolved; }))
+      << "no probe reached the down replica";
+
+  // Replica (0,1) answers only after 60 ms: shard-0 queries whose primary
+  // lands there must still hedge onto (0,2) after ~2 ms and win, although
+  // a probe is outstanding the whole time.
+  failpoint::arm_from_string(serve::replica_exec_failpoint(0, 1) +
+                             "=delay:60");
+  const std::uint64_t hedges = obs::counter("serve.replica.hedge").value();
+  const std::uint64_t wins = obs::counter("serve.replica.hedge_wins").value();
+  for (int i = 0; i < 8; ++i) {
+    const serve::QueryResult r = server.submit(rig.owned_node(0)).get();
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    expect_pred_matches_oracle(rig.oracle, r.value(), "hedge-vs-probe");
+  }
+  EXPECT_EQ(server.replica_health()[0][0], serve::ReplicaHealth::kDown)
+      << "the held probe answered before the hedge phase ended";
+  EXPECT_GE(obs::counter("serve.replica.hedge").value(), hedges + 1)
+      << "no hedge fired while a probe was held";
+  EXPECT_GE(obs::counter("serve.replica.hedge_wins").value(), wins + 1)
+      << "no hedge beat the delayed primary while a probe was held";
+  EXPECT_EQ(server.stats().failed, 0u);
+  server.drain();
+  expect_exact_accounting(server.stats(), "hedge-vs-probe");
+}
+
+// ---- Overloaded inner servers ---------------------------------------------
+
+TEST(ChaosOverload, BurstOverFullInnerQueuesResolvesEveryQuery) {
+  // Inner queues of one: nearly every inner submit is refused or sheds,
+  // so callbacks resolve inline inside the router's own submits — under
+  // kShedOldest the inline callback is ANOTHER query's, which then fails
+  // over from inside that submit.
+  const ChaosRig rig;
+  for (const serve::AdmissionPolicy policy :
+       {serve::AdmissionPolicy::kRejectNew,
+        serve::AdmissionPolicy::kShedOldest}) {
+    const std::string what =
+        policy == serve::AdmissionPolicy::kRejectNew ? "reject-new"
+                                                     : "shed-oldest";
+    serve::ShardServerOptions sopt = rig.options(/*replicas=*/2);
+    sopt.server.max_pending = 1;
+    sopt.server.admission = policy;
+    serve::ShardedServer server(rig.snap, rig.shards, rig.data.features,
+                                sopt);
+    constexpr int kBurst = 900;
+    std::vector<std::future<serve::QueryResult>> futures;
+    futures.reserve(kBurst);
+    for (int i = 0; i < kBurst; ++i) {
+      futures.push_back(server.submit(i % rig.data.num_nodes()));
+    }
+    std::uint64_t ok = 0;
+    for (auto& f : futures) {
+      const serve::QueryResult r = f.get();
+      if (r.ok()) {
+        expect_pred_matches_oracle(rig.oracle, r.value(), what);
+        EXPECT_FALSE(r.value().stale) << what;
+        ++ok;
+      } else {
+        EXPECT_TRUE(r.error().code == serve::ServeErrorCode::kOverloaded ||
+                    r.error().code ==
+                        serve::ServeErrorCode::kReplicasExhausted)
+            << what << ": unexpected " << serve::serve_error_name(
+                                              r.error().code);
+      }
+    }
+    server.drain();
+    const serve::ShardedStats st = server.stats();
+    EXPECT_EQ(st.accepted, static_cast<std::uint64_t>(kBurst)) << what;
+    EXPECT_EQ(st.accepted, st.answered + st.failed) << what;
+    EXPECT_EQ(st.answered, ok) << what;
+    EXPECT_GT(ok, 0u) << what;
+  }
+}
+
+TEST(ChaosOverload, ShedCascadeThroughDeepQueuesStaysOnOneStack) {
+  // Both replicas of shard 0 hold full queues of the default depth (4096)
+  // while their workers sleep. Each further submit then sheds the oldest
+  // first attempt on one replica, which fails over to its sibling and
+  // sheds the oldest there, and so on through both queues: a chain of
+  // ~2 x 4096 failovers started from inside one client submit. Run
+  // nested, that chain alone would be thousands of frames deep.
+  FailpointCleanup cleanup;
+  const ChaosRig rig;
+  serve::ShardServerOptions sopt = rig.options(/*replicas=*/2);
+  sopt.server.admission = serve::AdmissionPolicy::kShedOldest;
+  const std::size_t depth = sopt.server.max_pending;
+  serve::ShardedServer server(rig.snap, rig.shards, rig.data.features,
+                              sopt);
+  for (int r = 0; r < 2; ++r) {
+    failpoint::arm_from_string(serve::replica_exec_failpoint(0, r) +
+                               "=delay:200");
+  }
+  const ShardGraph& shard = rig.shards.shards[0];
+  const std::size_t burst = 6 * depth;
+  std::vector<std::future<serve::QueryResult>> futures;
+  futures.reserve(burst);
+  for (std::size_t i = 0; i < burst; ++i) {
+    futures.push_back(server.submit(
+        shard.nodes[i % static_cast<std::size_t>(shard.num_owned)]));
+  }
+  failpoint::disarm_all();
+
+  std::uint64_t ok = 0;
+  for (auto& f : futures) {
+    const serve::QueryResult r = f.get();
+    if (r.ok()) {
+      expect_pred_matches_oracle(rig.oracle, r.value(), "deep-shed");
+      ++ok;
+    } else {
+      ASSERT_TRUE(r.error().code == serve::ServeErrorCode::kOverloaded ||
+                  r.error().code == serve::ServeErrorCode::kReplicasExhausted)
+          << "unexpected " << serve::serve_error_name(r.error().code);
+    }
+  }
+  server.drain();
+  const serve::ShardedStats st = server.stats();
+  EXPECT_EQ(st.accepted, burst);
+  EXPECT_EQ(st.accepted, st.answered + st.failed);
+  EXPECT_EQ(st.answered, ok);
+  EXPECT_GT(ok, 0u);
+  EXPECT_GE(st.failovers, depth) << "the queues never filled";
 }
 
 // ---- Degraded modes -------------------------------------------------------

@@ -527,5 +527,47 @@ TEST_F(ObsTest, ServerTraceTimelineCoversQueryLifecycle) {
   EXPECT_GE(phase_b, 40 * 3);  // three phases per completed query
 }
 
+TEST_F(ObsTest, QueryTraceIdsAreUniqueAcrossServers) {
+  obs::trace::set_ring_capacity(8192);
+  obs::trace::set_enabled(true);
+  obs::trace::clear();
+
+  const Dataset data = obs_test_dataset();
+  const ModelConfig cfg = obs_test_config(Arch::kGcn, data);
+  const GnnModel model(cfg);
+  Rng rng(41);
+  const serve::Snapshot snap =
+      serve::make_snapshot(cfg, model.init_params(rng), data, "uniform");
+  auto ctx = std::make_shared<const GraphContext>(data.graph, Arch::kGcn);
+  serve::ServerConfig server_cfg;
+  server_cfg.workers = 1;
+  server_cfg.max_batch = 8;
+  server_cfg.max_delay_ms = 1.0;
+  {
+    // Two servers in one process, as the replicas of a sharded server
+    // are: their query timelines must not share an async id.
+    serve::BatchServer a(snap, ctx, data.features, server_cfg);
+    serve::BatchServer b(snap, ctx, data.features, server_cfg);
+    std::vector<std::future<serve::QueryResult>> futures;
+    for (int i = 0; i < 20; ++i) {
+      futures.push_back(a.submit(i % data.num_nodes()));
+      futures.push_back(b.submit(i % data.num_nodes()));
+    }
+    for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+  }
+  obs::trace::set_enabled(false);
+
+  std::vector<std::uint64_t> ids;
+  for (const auto& e : obs::trace::snapshot_events()) {
+    if (std::string(e.name) == "serve.query" && e.phase == 'b') {
+      ids.push_back(e.id);
+    }
+  }
+  ASSERT_EQ(ids.size(), 40u);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
+      << "two servers emitted serve.query spans with the same id";
+}
+
 }  // namespace
 }  // namespace gsoup
