@@ -1,7 +1,10 @@
 // Table III — souping wall time (seconds) for US / GIS / LS / PLS across
 // the experiment matrix. Paper shape: US trivially fastest (no forward
-// passes); LS and PLS both substantially faster than GIS's exhaustive
-// O(N·g·F_v) ratio sweep.
+// passes); LS and PLS faster than GIS's exhaustive ratio sweep. Here GIS
+// evaluates each ratio autograd-free over the val nodes' receptive field
+// (O(N·g·F_field)) while LS still runs full-graph forward and backward
+// passes, so on graphs whose val field is small (products-like SAGE)
+// GIS can beat LS; PLS stays the fastest learned soup.
 #include <cstdio>
 
 #include "harness/experiment.hpp"

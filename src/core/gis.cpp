@@ -13,6 +13,7 @@ GisSouper::GisSouper(GisConfig config) : config_(config) {
 }
 
 ParamStore GisSouper::mix(const SoupContext& sctx) {
+  GSOUP_CHECK_MSG(!sctx.ingredients.empty(), "souping needs ingredients");
   evaluations_ = 0;
   std::vector<std::size_t> order(sctx.ingredients.size());
   std::iota(order.begin(), order.end(), 0);
@@ -23,6 +24,13 @@ ParamStore GisSouper::mix(const SoupContext& sctx) {
   // soup <- Msorted[0]
   ParamStore soup = sctx.ingredients[order.front()].params.clone();
   double soup_val = sctx.ingredients[order.front()].val_acc;
+
+  // Every ratio is interpolated in place into one candidate store, and one
+  // evaluator bound to it scores the candidate over the val nodes'
+  // receptive field: the sweep allocates nothing per candidate.
+  ParamStore candidate = soup.clone();
+  SplitEvaluator val_eval(sctx.model, sctx.ctx, sctx.data, candidate,
+                          Split::kVal);
 
   // For each remaining ingredient, sweep alpha over linspace(0,1,g); alpha
   // is the weight of the incoming ingredient. The best ratio that does not
@@ -38,10 +46,8 @@ ParamStore GisSouper::mix(const SoupContext& sctx) {
     for (std::int64_t step = 0; step < g; ++step) {
       const float alpha =
           static_cast<float>(step) / static_cast<float>(g - 1);
-      const ParamStore candidate =
-          ParamStore::interpolate(soup, incoming, alpha);
-      const double val = evaluate_split(sctx.model, sctx.ctx, sctx.data,
-                                        candidate, Split::kVal);
+      ParamStore::interpolate_into(candidate, soup, incoming, alpha);
+      const double val = val_eval.accuracy();
       ++evaluations_;
       if (val >= best_val) {
         best_val = val;
@@ -49,7 +55,7 @@ ParamStore GisSouper::mix(const SoupContext& sctx) {
       }
     }
     if (best_alpha >= 0.0f) {
-      soup = ParamStore::interpolate(soup, incoming, best_alpha);
+      ParamStore::interpolate_into(soup, soup, incoming, best_alpha);
       soup_val = best_val;
     }
   }

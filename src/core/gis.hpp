@@ -3,8 +3,10 @@
 // compares against: starting from the best ingredient, exhaustively search
 // `granularity` interpolation ratios between the current soup and each
 // next ingredient, keeping the best mix that does not hurt validation
-// accuracy. Time complexity O(N · g · F_v) — the exhaustive evaluation
-// sweep that LS replaces with gradient descent.
+// accuracy. Time complexity O(N · g · F_field), F_field being one
+// autograd-free forward over the val nodes' L-hop receptive field
+// (SplitEvaluator) rather than over the whole graph — the exhaustive
+// evaluation sweep that LS replaces with gradient descent.
 #pragma once
 
 #include "core/soup.hpp"

@@ -4,10 +4,12 @@
 #include <numeric>
 
 #include "train/metrics.hpp"
+#include "util/check.hpp"
 
 namespace gsoup {
 
 ParamStore GreedySouper::mix(const SoupContext& sctx) {
+  GSOUP_CHECK_MSG(!sctx.ingredients.empty(), "souping needs ingredients");
   // Msorted <- SORT_ValAcc(M), descending.
   std::vector<std::size_t> order(sctx.ingredients.size());
   std::iota(order.begin(), order.end(), 0);
@@ -15,24 +17,29 @@ ParamStore GreedySouper::mix(const SoupContext& sctx) {
     return sctx.ingredients[a].val_acc > sctx.ingredients[b].val_acc;
   });
 
+  // Each candidate average is written into one store that a single
+  // val-split evaluator is bound to.
+  ParamStore candidate = sctx.ingredients[order.front()].params.clone();
+  SplitEvaluator val_eval(sctx.model, sctx.ctx, sctx.data, candidate,
+                          Split::kVal);
+
   selected_.clear();
   std::vector<const ParamStore*> members;
-  ParamStore soup;
   double soup_val = -1.0;
   for (const auto idx : order) {
     members.push_back(&sctx.ingredients[idx].params);
-    ParamStore candidate = ParamStore::average(members);
-    const double candidate_val = evaluate_split(
-        sctx.model, sctx.ctx, sctx.data, candidate, Split::kVal);
+    ParamStore::average_into(candidate, members);
+    const double candidate_val = val_eval.accuracy();
     if (candidate_val >= soup_val) {
-      soup = std::move(candidate);
       soup_val = candidate_val;
       selected_.push_back(sctx.ingredients[idx].id);
     } else {
       members.pop_back();
     }
   }
-  return soup;
+  // `members` now holds exactly the admitted ingredients, so this is the
+  // last accepted candidate, recomputed with the same arithmetic.
+  return ParamStore::average(members);
 }
 
 }  // namespace gsoup

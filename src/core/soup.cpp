@@ -32,10 +32,11 @@ SoupReport run_souper(Souper& souper, const SoupContext& sctx) {
   }
   report.peak_bytes =
       ingredients_bytes(sctx.ingredients) + report.mix_peak_bytes;
-  report.val_acc = evaluate_split(sctx.model, sctx.ctx, sctx.data,
-                                  report.soup, Split::kVal);
-  report.test_acc = evaluate_split(sctx.model, sctx.ctx, sctx.data,
-                                   report.soup, Split::kTest);
+  const Split splits[] = {Split::kVal, Split::kTest};
+  const auto acc = evaluate_splits(sctx.model, sctx.ctx, sctx.data,
+                                   report.soup, splits);
+  report.val_acc = acc[0];
+  report.test_acc = acc[1];
   return report;
 }
 

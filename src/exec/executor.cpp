@@ -248,7 +248,15 @@ ag::Value run_train_blocks(const ModelConfig& cfg,
 // ---- Infer mode -----------------------------------------------------------
 
 Executor::Executor(const LayerPlan& plan, const ParamStore& params)
-    : plan_(plan) {
+    : Executor(plan, params, plan.num_nodes()) {}
+
+Executor::Executor(const LayerPlan& plan, const ParamStore& params,
+                   std::int64_t row_capacity)
+    : plan_(plan), row_capacity_(row_capacity) {
+  GSOUP_CHECK_MSG(row_capacity_ >= 1 && row_capacity_ <= plan.num_nodes(),
+                  "executor row capacity " << row_capacity_
+                                           << " outside [1, "
+                                           << plan.num_nodes() << "]");
   const Precision prec = plan.precision();
   step_params_.reserve(plan.steps().size());
   for (const LayerStep& step : plan.steps()) {
@@ -293,15 +301,14 @@ Executor::Executor(const LayerPlan& plan, const ParamStore& params)
 
   // Everything any run_* call will ever touch, allocated once from the
   // plan's declared geometry. Half plans add the 16-bit inter-layer slabs.
-  for (auto& buf : buf_) buf = Tensor::empty({plan.layer_slab_numel()});
-  if (plan.score_slab_numel() > 0) {
-    score_dst_ws_ = Tensor::empty({plan.score_slab_numel()});
-    score_src_ws_ = Tensor::empty({plan.score_slab_numel()});
+  const std::int64_t slab_numel = row_capacity_ * plan.max_width();
+  for (auto& buf : buf_) buf = Tensor::empty({slab_numel});
+  if (plan.score_width() > 0) {
+    score_dst_ws_ = Tensor::empty({row_capacity_ * plan.score_width()});
+    score_src_ws_ = Tensor::empty({row_capacity_ * plan.score_width()});
   }
   if (prec != Precision::kFp32) {
-    for (auto& buf : hbuf_) {
-      buf = HalfBuffer::empty({plan.layer_slab_numel()}, prec);
-    }
+    for (auto& buf : hbuf_) buf = HalfBuffer::empty({slab_numel}, prec);
   }
 }
 
@@ -492,6 +499,9 @@ Tensor Executor::run_layer(const LayerStep& step, const StepParams& p,
 template <class Act>
 void Executor::run_full(const Act& features, Tensor& out) {
   const std::int64_t n = plan_.num_nodes();
+  GSOUP_CHECK_MSG(row_capacity_ == n,
+                  "run_full: executor sized for " << row_capacity_
+                                                  << " of " << n << " rows");
   check_storage(features, plan_.precision(), "run_full");
   GSOUP_CHECK_MSG(features.rank() == 2 && features.shape(0) == n &&
                       features.shape(1) == plan_.config().in_dim,
@@ -517,6 +527,10 @@ const Tensor& Executor::run_subgraph(const SubgraphPlan& sp,
       static_cast<std::int64_t>(sp.layers.size()) == plan_.num_layers(),
       "run_subgraph: plan has " << sp.layers.size() << " layers, model "
                                 << plan_.num_layers());
+  GSOUP_CHECK_MSG(sp.max_rows() <= row_capacity_,
+                  "run_subgraph: plan needs " << sp.max_rows()
+                                              << " rows, executor sized for "
+                                              << row_capacity_);
   check_storage(features, plan_.precision(), "run_subgraph");
   // The input rows are gathered at storage width (a half plan copies
   // 16-bit rows — half the gather traffic); the first layer's kernels

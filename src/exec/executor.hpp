@@ -1,12 +1,14 @@
 // Executes a compiled LayerPlan in the three modes the system needs:
 //
 //  - train       records the autograd tape (ingredient training, learned
-//                souping, evaluation sweeps under NoGradGuard);
+//                souping);
 //  - minibatch   tape over sampled bipartite blocks (GraphSAGE), the
 //                block transposes having been built at sample time;
 //  - infer       autograd-free, into workspaces declared by the plan and
 //                allocated once at Executor construction — the serving
-//                hot path, zero tracked allocation once warm. Infer
+//                hot path and every split evaluation (SplitEvaluator
+//                runs it over the split's receptive field), zero
+//                tracked allocation once warm. Infer
 //                lowering picks inference-only kernels where they exist:
 //                GAT steps run `ag::gat_attention_infer`, which skips
 //                the alpha normalisation walk and replaces the
@@ -90,10 +92,21 @@ ag::Value run_train_blocks(const ModelConfig& config,
 /// Infer mode: a LayerPlan plus plan-declared workspace slabs, allocated
 /// once here. The parameter tensors are resolved per step at construction
 /// (the store — typically a serve::Snapshot's — must outlive the
-/// executor, as must the plan).
+/// executor, as must the plan). An fp32 plan's GEMM panels share the
+/// store's tensors, so in-place writes to the store (an optimizer step,
+/// ParamStore::interpolate_into) reach the next run_* call; a half plan
+/// quantizes its panels once, here.
 class Executor {
  public:
+  /// Workspaces sized for the full graph: run_full and any subgraph.
   Executor(const LayerPlan& plan, const ParamStore& params);
+
+  /// Workspaces sized for `row_capacity` rows (1..plan.num_nodes()):
+  /// enough for run_subgraph over plans whose widest layer has at most
+  /// that many source rows (SubgraphPlan::max_rows), and for run_full
+  /// only when it covers the whole graph.
+  Executor(const LayerPlan& plan, const ParamStore& params,
+           std::int64_t row_capacity);
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
@@ -158,6 +171,7 @@ class Executor {
   Act* act_slabs();
 
   const LayerPlan& plan_;
+  std::int64_t row_capacity_ = 0;
   std::vector<StepParams> step_params_;
 
   // Per-stage duration histograms ("exec.stage_ms", labelled with this

@@ -66,8 +66,7 @@ LayerPlan::LayerPlan(const ModelConfig& config, const GraphContext& ctx,
     }
     max_width_ = std::max({max_width_, step.in_dim, step.out_width});
     if (config.arch == Arch::kGat) {
-      score_slab_numel_ =
-          std::max(score_slab_numel_, num_nodes_ * step.heads);
+      score_width_ = std::max(score_width_, step.heads);
     }
     steps_.push_back(std::move(step));
   }

@@ -129,13 +129,13 @@ class LayerPlan {
 
   /// Workspace slab geometry for infer-mode executors, declared at
   /// compile time so an Executor performs no allocation after
-  /// construction: the widest per-layer row, the flat per-buffer element
-  /// count (three ping-pong buffers of num_nodes * max_width), and the
-  /// per-node attention-score slab (0 for the SpMM architectures — the
-  /// alpha-skip infer kernels need no per-edge storage at all).
+  /// construction. Per row: the widest per-layer row (each of the three
+  /// ping-pong buffers holds rows * max_width) and the attention-score
+  /// width (the widest head count; 0 for the SpMM architectures — the
+  /// alpha-skip infer kernels need no per-edge storage at all). A
+  /// full-graph executor sizes for num_nodes rows.
   std::int64_t max_width() const { return max_width_; }
-  std::int64_t layer_slab_numel() const { return num_nodes_ * max_width_; }
-  std::int64_t score_slab_numel() const { return score_slab_numel_; }
+  std::int64_t score_width() const { return score_width_; }
 
  private:
   ModelConfig config_;
@@ -144,7 +144,7 @@ class LayerPlan {
   std::vector<LayerStep> steps_;
   std::int64_t num_nodes_ = 0;
   std::int64_t max_width_ = 0;
-  std::int64_t score_slab_numel_ = 0;
+  std::int64_t score_width_ = 0;
 };
 
 }  // namespace gsoup::exec

@@ -51,6 +51,12 @@ struct SubgraphPlan {
   std::int64_t num_queries() const {
     return static_cast<std::int64_t>(seed_row.size());
   }
+  /// Source rows of the widest layer — the input layer, since each
+  /// layer's destinations are a prefix of its sources and the next
+  /// layer's sources are those destinations.
+  std::int64_t max_rows() const {
+    return layers.empty() ? 0 : layers.front().num_src();
+  }
   /// Approximate heap footprint (LRU capacity planning).
   std::size_t bytes() const;
 };

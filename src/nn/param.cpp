@@ -77,31 +77,51 @@ bool ParamStore::compatible(const ParamStore& a, const ParamStore& b) {
 
 ParamStore ParamStore::average(std::span<const ParamStore* const> models) {
   GSOUP_CHECK_MSG(!models.empty(), "average needs at least one model");
+  ParamStore out = models.front()->clone();
+  average_into(out, models);
+  return out;
+}
+
+void ParamStore::average_into(ParamStore& out,
+                              std::span<const ParamStore* const> models) {
+  GSOUP_CHECK_MSG(!models.empty(), "average needs at least one model");
   for (const auto* m : models) {
-    GSOUP_CHECK_MSG(m != nullptr && compatible(*models.front(), *m),
+    GSOUP_CHECK_MSG(m != nullptr && compatible(out, *m),
                     "averaging incompatible parameter stores");
   }
   const float w = 1.0f / static_cast<float>(models.size());
-  ParamStore out;
-  for (const auto& e : models.front()->entries_) {
-    Tensor acc = Tensor::zeros(e.tensor.shape());
-    for (const auto* m : models) acc.add_(m->get(e.name), w);
-    out.add(e.name, std::move(acc), e.layer);
+  for (auto& e : out.entries_) {
+    for (const auto* m : models) {
+      GSOUP_CHECK_MSG(!e.tensor.shares_storage_with(m->get(e.name)),
+                      "average_into: output aliases an input " << e.name);
+    }
+    e.tensor.zero_();
+    for (const auto* m : models) e.tensor.add_(m->get(e.name), w);
   }
-  return out;
 }
 
 ParamStore ParamStore::interpolate(const ParamStore& a, const ParamStore& b,
                                    float alpha) {
-  GSOUP_CHECK_MSG(compatible(a, b), "interpolating incompatible stores");
-  ParamStore out;
-  for (const auto& e : a.entries_) {
-    Tensor mixed = e.tensor.clone();
-    mixed.mul_(1.0f - alpha);
-    mixed.add_(b.get(e.name), alpha);
-    out.add(e.name, std::move(mixed), e.layer);
-  }
+  ParamStore out = a.clone();
+  interpolate_into(out, out, b, alpha);
   return out;
+}
+
+void ParamStore::interpolate_into(ParamStore& out, const ParamStore& a,
+                                  const ParamStore& b, float alpha) {
+  GSOUP_CHECK_MSG(compatible(a, b) && compatible(out, a),
+                  "interpolating incompatible stores");
+  for (std::size_t i = 0; i < out.entries_.size(); ++i) {
+    Tensor& mixed = out.entries_[i].tensor;
+    const Tensor& from = a.entries_[i].tensor;
+    const Tensor& to = b.entries_[i].tensor;
+    GSOUP_CHECK_MSG(!mixed.shares_storage_with(to),
+                    "interpolate_into: output aliases b at "
+                        << out.entries_[i].name);
+    if (!mixed.shares_storage_with(from)) mixed.copy_(from);
+    mixed.mul_(1.0f - alpha);
+    mixed.add_(to, alpha);
+  }
 }
 
 ParamMap as_leaves(const ParamStore& store, bool requires_grad) {

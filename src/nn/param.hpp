@@ -50,9 +50,21 @@ class ParamStore {
   /// `average`). `models` must be non-empty.
   static ParamStore average(std::span<const ParamStore* const> models);
 
+  /// average() written into `out`'s existing tensors (compatible with the
+  /// models, sharing storage with none of them): no allocation, and any
+  /// consumer bound to `out`'s tensors sees the new weights.
+  static void average_into(ParamStore& out,
+                           std::span<const ParamStore* const> models);
+
   /// (1-alpha)·a + alpha·b — GIS's `interpolate(soup, M_i, alpha)`.
   static ParamStore interpolate(const ParamStore& a, const ParamStore& b,
                                 float alpha);
+
+  /// interpolate() written into `out`'s existing tensors, with the same
+  /// arithmetic (copy a, scale by 1-alpha, add alpha·b). `out` may be `a`
+  /// itself (an in-place commit) but must not share storage with `b`.
+  static void interpolate_into(ParamStore& out, const ParamStore& a,
+                               const ParamStore& b, float alpha);
 
  private:
   std::vector<ParamEntry> entries_;

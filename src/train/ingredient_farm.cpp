@@ -66,10 +66,10 @@ FarmResult train_ingredients(const GnnModel& model, const GraphContext& ctx,
           tr = train_full_batch(model, ctx, data, ing.params, train_config);
         }
         ing.train_seconds = t.seconds();
-        ing.val_acc = evaluate_split(model, ctx, data, ing.params,
-                                     Split::kVal);
-        ing.test_acc = evaluate_split(model, ctx, data, ing.params,
-                                      Split::kTest);
+        const Split report[] = {Split::kVal, Split::kTest};
+        const auto acc = evaluate_splits(model, ctx, data, ing.params, report);
+        ing.val_acc = acc[0];
+        ing.test_acc = acc[1];
         GSOUP_LOG_DEBUG << "ingredient " << id << " trained in "
                         << ing.train_seconds << "s (val "
                         << ing.val_acc << ", best epoch " << tr.best_epoch

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "ag/graph_ops.hpp"
 #include "ag/loss.hpp"
@@ -40,6 +41,12 @@ TrainResult train_minibatch(const GnnModel& model, const GraphContext& ctx,
   const ag::Value features = ag::constant(data.features);
   auto train_nodes = data.split_nodes(Split::kTrain);
   GSOUP_CHECK_MSG(!train_nodes.empty(), "dataset has no training nodes");
+
+  // Val probes bound to `params`, which the optimizer updates in place.
+  std::optional<SplitEvaluator> val_eval;
+  if (config.train.eval_every > 0) {
+    val_eval.emplace(model, ctx, data, params, Split::kVal);
+  }
 
   ParamStore best;
   std::int64_t since_best = 0;
@@ -95,8 +102,7 @@ TrainResult train_minibatch(const GnnModel& model, const GraphContext& ctx,
     if (config.train.eval_every > 0 &&
         (epoch % config.train.eval_every == 0 ||
          epoch + 1 == config.train.epochs)) {
-      const double acc =
-          evaluate_split(model, ctx, data, params, Split::kVal);
+      const double acc = val_eval->accuracy();
       result.val_acc.push_back(acc);
       if (acc > result.best_val_acc || result.best_epoch < 0) {
         result.best_val_acc = acc;

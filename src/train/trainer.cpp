@@ -1,5 +1,7 @@
 #include "train/trainer.hpp"
 
+#include <optional>
+
 #include "ag/loss.hpp"
 #include "ag/ops.hpp"
 #include "exec/executor.hpp"
@@ -41,6 +43,14 @@ TrainResult train_full_batch(const GnnModel& model, const GraphContext& ctx,
   const exec::LayerPlan& plan = ctx.layer_plan(model.config());
   const exec::TapeBindings bound(plan, leaves);
 
+  // The val probes run infer mode over the val nodes' receptive field,
+  // bound to `params`: the optimizer steps the leaves, which share the
+  // store's tensors, so each probe reads the current weights.
+  std::optional<SplitEvaluator> val_eval;
+  if (config.eval_every > 0) {
+    val_eval.emplace(model, ctx, data, params, Split::kVal);
+  }
+
   ParamStore best;
   std::int64_t since_best = 0;
 
@@ -60,8 +70,7 @@ TrainResult train_full_batch(const GnnModel& model, const GraphContext& ctx,
 
     if (config.eval_every > 0 &&
         (epoch % config.eval_every == 0 || epoch + 1 == config.epochs)) {
-      const double acc =
-          evaluate_split(model, ctx, data, params, Split::kVal);
+      const double acc = val_eval->accuracy();
       result.val_acc.push_back(acc);
       if (acc > result.best_val_acc || result.best_epoch < 0) {
         result.best_val_acc = acc;

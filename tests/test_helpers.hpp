@@ -1,5 +1,5 @@
-// Shared test utilities: finite-difference gradient checking and small
-// graph/dataset fixtures.
+// Shared test utilities: finite-difference gradient checking, the
+// full-graph tape evaluation reference, and small graph/dataset fixtures.
 #pragma once
 
 #include <cmath>
@@ -12,7 +12,11 @@
 #include "ag/value.hpp"
 #include "graph/builder.hpp"
 #include "graph/dataset.hpp"
+#include "nn/graph_context.hpp"
+#include "nn/model.hpp"
+#include "nn/param.hpp"
 #include "tensor/tensor.hpp"
+#include "train/metrics.hpp"
 
 namespace gsoup::testing {
 
@@ -58,6 +62,24 @@ inline void check_gradients(const std::function<ag::Value()>& forward,
     }
   }
   for (const auto& leaf : leaves) leaf->clear_grad();
+}
+
+/// Full-graph tape logits (GnnModel::forward under NoGradGuard): the
+/// evaluation every split accuracy ran before SplitEvaluator, kept as the
+/// reference its parity tests compare against.
+inline Tensor tape_logits(const GnnModel& model, const GraphContext& ctx,
+                          const Dataset& data, const ParamStore& params) {
+  ag::NoGradGuard no_grad;
+  const ParamMap map = as_leaves(params, /*requires_grad=*/false);
+  return model.forward(ctx, ag::constant(data.features), map)->value.clone();
+}
+
+/// Split accuracy through tape_logits.
+inline double tape_accuracy(const GnnModel& model, const GraphContext& ctx,
+                            const Dataset& data, const ParamStore& params,
+                            Split split) {
+  return accuracy(tape_logits(model, ctx, data, params), data.labels,
+                  data.split_nodes(split));
 }
 
 /// Tiny fixed graph: 6 nodes, a path plus chords, symmetrised with self

@@ -1,5 +1,8 @@
 // ParamStore semantics and GNN model tests (init shapes, forward shapes,
 // gradient flow to every parameter, architecture-specific behaviour).
+#include <cstring>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "ag/graph_ops.hpp"
@@ -8,6 +11,7 @@
 #include "nn/graph_context.hpp"
 #include "nn/model.hpp"
 #include "nn/param.hpp"
+#include "tensor/init.hpp"
 #include "tensor/ops.hpp"
 #include "test_helpers.hpp"
 
@@ -57,6 +61,71 @@ TEST(ParamStore, AverageAndInterpolate) {
   const ParamStore mixed = ParamStore::interpolate(a, b, 0.25f);
   EXPECT_FLOAT_EQ(mixed.get("layers.0.weight").at(0), 1.5f);
   EXPECT_FLOAT_EQ(mixed.get("layers.1.weight").at(0), 12.5f);
+}
+
+/// Two stores of random values; the wide entry crosses the elementwise
+/// ops' parallel threshold.
+std::pair<ParamStore, ParamStore> random_store_pair() {
+  Rng rng(13);
+  ParamStore a, b;
+  for (ParamStore* s : {&a, &b}) {
+    Tensor w = Tensor::empty({300, 300});
+    Tensor bias = Tensor::empty({7});
+    init::normal(w, rng, 0.0f, 1.0f);
+    init::normal(bias, rng, 0.0f, 1.0f);
+    s->add("layers.0.weight", std::move(w), 0);
+    s->add("layers.0.bias", std::move(bias), 0);
+  }
+  return {std::move(a), std::move(b)};
+}
+
+bool bitwise_equal(const Tensor& x, const Tensor& y) {
+  return same_shape(x, y) &&
+         std::memcmp(x.data(), y.data(), x.bytes()) == 0;
+}
+
+TEST(ParamStore, InterpolateIntoIsBitwiseTheAllocatingArithmetic) {
+  const auto [a, b] = random_store_pair();
+  for (const float alpha : {0.0f, 0.3f, 1.0f / 3.0f, 1.0f}) {
+    ParamStore out = b.clone();  // stale contents must not leak through
+    ParamStore::interpolate_into(out, a, b.clone(), alpha);
+    ParamStore aliased = a.clone();
+    ParamStore::interpolate_into(aliased, aliased, b, alpha);
+    const ParamStore mixed = ParamStore::interpolate(a, b, alpha);
+    for (const ParamEntry& e : a.entries()) {
+      // The arithmetic interpolate has always used.
+      Tensor want = e.tensor.clone();
+      want.mul_(1.0f - alpha);
+      want.add_(b.get(e.name), alpha);
+      EXPECT_TRUE(bitwise_equal(out.get(e.name), want))
+          << e.name << " alpha " << alpha;
+      EXPECT_TRUE(bitwise_equal(aliased.get(e.name), want))
+          << "aliased " << e.name << " alpha " << alpha;
+      EXPECT_TRUE(bitwise_equal(mixed.get(e.name), want))
+          << "interpolate " << e.name << " alpha " << alpha;
+    }
+  }
+  ParamStore onto_b = b.clone();
+  EXPECT_THROW(ParamStore::interpolate_into(onto_b, a, onto_b, 0.5f),
+               CheckError);
+}
+
+TEST(ParamStore, AverageIntoIsBitwiseTheAllocatingArithmetic) {
+  const auto [a, b] = random_store_pair();
+  const ParamStore c = a.clone();
+  const std::vector<const ParamStore*> models{&a, &b, &c};
+  ParamStore out = b.clone();
+  ParamStore::average_into(out, models);
+  const ParamStore avg = ParamStore::average(models);
+  for (const ParamEntry& e : a.entries()) {
+    Tensor want = Tensor::zeros(e.tensor.shape());
+    for (const ParamStore* m : models) want.add_(m->get(e.name), 1.0f / 3.0f);
+    EXPECT_TRUE(bitwise_equal(out.get(e.name), want)) << e.name;
+    EXPECT_TRUE(bitwise_equal(avg.get(e.name), want)) << e.name;
+  }
+  ParamStore member = a.clone();
+  const std::vector<const ParamStore*> with_out{&member, &b};
+  EXPECT_THROW(ParamStore::average_into(member, with_out), CheckError);
 }
 
 TEST(ParamStore, CompatibilityChecks) {

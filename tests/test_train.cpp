@@ -1,10 +1,20 @@
 // Optimiser step math, LR schedules, metrics, and end-to-end full-batch /
-// minibatch training behaviour for all three architectures.
+// minibatch training behaviour for all three architectures; the
+// receptive-field SplitEvaluator's steady state and the trainer's val
+// probes against the full-graph tape evaluation they replaced.
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ag/loss.hpp"
+#include "exec/executor.hpp"
 #include "graph/generator.hpp"
+#include "graph/locality.hpp"
 #include "nn/model.hpp"
 #include "tensor/ops.hpp"
 #include "test_helpers.hpp"
@@ -13,6 +23,7 @@
 #include "train/optimizer.hpp"
 #include "train/scheduler.hpp"
 #include "train/trainer.hpp"
+#include "util/memory_tracker.hpp"
 
 namespace gsoup {
 namespace {
@@ -277,6 +288,181 @@ TEST(Trainer, DeterministicForFixedSeed) {
         << e.name;
   }
 }
+
+// ---- Receptive-field evaluation --------------------------------------------
+
+struct PlanCase {
+  std::shared_ptr<const graph::GraphPlan> plan;
+  Dataset data;  ///< in the context's numbering
+  std::unique_ptr<GraphContext> ctx;
+};
+
+PlanCase plan_case(Arch arch, bool rcm, std::uint64_t seed) {
+  PlanCase c;
+  const Dataset raw = train_dataset(seed);
+  if (rcm) {
+    c.plan = std::make_shared<const graph::GraphPlan>(raw.graph,
+                                                      graph::Reorder::kRcm);
+    c.data = c.plan->apply(raw);
+    c.ctx = std::make_unique<GraphContext>(c.plan, arch);
+  } else {
+    c.data = raw;
+    c.ctx = std::make_unique<GraphContext>(raw.graph, arch);
+  }
+  return c;
+}
+
+ModelConfig small_config(Arch arch, const Dataset& data) {
+  ModelConfig cfg;
+  cfg.arch = arch;
+  cfg.in_dim = data.feature_dim();
+  cfg.hidden_dim = 8;
+  cfg.out_dim = data.num_classes;
+  cfg.heads = 2;
+  cfg.dropout = 0.3f;
+  return cfg;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return same_shape(a, b) &&
+         std::memcmp(a.data(), b.data(), a.bytes()) == 0;
+}
+
+// Mirrors Executor.InferModeAllocatesNothingOnceWarm for the evaluator,
+// and checks that it reads its bound store's current values.
+TEST(SplitEvaluator, AllocatesNothingOnceWarmAndSeesInPlaceWrites) {
+  for (const Arch arch : {Arch::kGcn, Arch::kSage, Arch::kGat}) {
+    const PlanCase c = plan_case(arch, /*rcm=*/true, 57);
+    const GnnModel model(small_config(arch, c.data));
+    Rng rng(8);
+    const ParamStore a = model.init_params(rng);
+    const ParamStore b = model.init_params(rng);
+    ParamStore bound = a.clone();
+    SplitEvaluator val(model, *c.ctx, c.data, bound, Split::kVal);
+
+    (void)val.accuracy();  // warm-up
+    const Tensor before = val.logits().clone();
+    const std::uint64_t allocs = MemoryTracker::alloc_count();
+    (void)val.accuracy();
+    (void)val.accuracy();
+    // alpha = 1 writes exactly b's values into the bound tensors.
+    ParamStore::interpolate_into(bound, bound, b, 1.0f);
+    (void)val.accuracy();
+    EXPECT_EQ(MemoryTracker::alloc_count(), allocs)
+        << arch_name(arch)
+        << ": steady-state evaluation must not allocate tracked memory";
+    SplitEvaluator fresh(model, *c.ctx, c.data, b, Split::kVal);
+    EXPECT_TRUE(bitwise_equal(val.logits(), fresh.logits()))
+        << arch_name(arch) << ": the evaluator must see in-place writes";
+    EXPECT_FALSE(bitwise_equal(val.logits(), before)) << arch_name(arch);
+  }
+}
+
+TEST(SplitEvaluator, RejectsDataOutsideThePlanSpace) {
+  const PlanCase c = plan_case(Arch::kSage, /*rcm=*/true, 58);
+  const Dataset original = train_dataset(58);
+  const GnnModel model(small_config(Arch::kSage, c.data));
+  Rng rng(9);
+  const ParamStore params = model.init_params(rng);
+  EXPECT_THROW(SplitEvaluator(model, *c.ctx, original, params, Split::kVal),
+               CheckError);
+}
+
+/// train_full_batch as written before receptive-field evaluation: the
+/// same epoch body, with each val probe a full-graph tape forward.
+TrainResult reference_train(const GnnModel& model, const GraphContext& ctx,
+                            const Dataset& data, ParamStore& params,
+                            const TrainConfig& config) {
+  TrainResult result;
+  ParamMap leaves = as_leaves(params, /*requires_grad=*/true);
+  std::vector<ag::Value> leaf_list;
+  for (auto& [name, leaf] : leaves) leaf_list.push_back(leaf);
+  OptimizerConfig opt_config = config.optimizer;
+  opt_config.lr = config.schedule.base_lr;
+  auto optimizer = make_optimizer(leaf_list, opt_config);
+  Rng dropout_rng(config.seed ^ 0x5eed5eedULL);
+  const ag::Value features = ag::constant(data.features);
+  const auto train_nodes = data.split_nodes(Split::kTrain);
+  const exec::LayerPlan& plan = ctx.layer_plan(model.config());
+  const exec::TapeBindings bound(plan, leaves);
+  ParamStore best;
+  std::int64_t since_best = 0;
+  for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
+    optimizer->set_lr(scheduled_lr(config.schedule, epoch, config.epochs));
+    const ag::Value logits = exec::run_train(plan, features, bound,
+                                             /*training=*/true, &dropout_rng);
+    const ag::Value loss = ag::cross_entropy(logits, data.labels, train_nodes);
+    result.train_loss.push_back(static_cast<double>(loss->value.at(0)));
+    ag::backward(loss);
+    optimizer->step();
+    optimizer->zero_grad();
+    ++result.epochs_run;
+    if (epoch % config.eval_every == 0 || epoch + 1 == config.epochs) {
+      const double acc =
+          testing::tape_accuracy(model, ctx, data, params, Split::kVal);
+      result.val_acc.push_back(acc);
+      if (acc > result.best_val_acc || result.best_epoch < 0) {
+        result.best_val_acc = acc;
+        result.best_epoch = epoch;
+        since_best = 0;
+        if (config.keep_best) best = params.clone();
+      } else {
+        ++since_best;
+        if (config.patience > 0 && since_best >= config.patience) break;
+      }
+    }
+  }
+  if (config.keep_best && best.size() > 0) {
+    for (const auto& e : best.entries()) {
+      params.get_mutable(e.name).copy_(e.tensor);
+    }
+  }
+  return result;
+}
+
+class TrainerEvalParity
+    : public ::testing::TestWithParam<std::tuple<Arch, bool>> {};
+
+TEST_P(TrainerEvalParity, SameResultAndParamsAsTapeEvalReference) {
+  const auto [arch, rcm] = GetParam();
+  const std::string tag =
+      std::string(arch_name(arch)) + (rcm ? " rcm" : " plain");
+  const PlanCase c = plan_case(arch, rcm, 59);
+  const GnnModel model(small_config(arch, c.data));
+  TrainConfig tc;
+  tc.epochs = 40;
+  tc.optimizer.kind = OptimizerKind::kAdam;
+  tc.schedule.base_lr = 0.02;
+  tc.seed = 11;
+  tc.eval_every = 2;
+  tc.keep_best = true;
+  tc.patience = 6;
+
+  Rng rng(10);
+  const ParamStore init = model.init_params(rng);
+  ParamStore got_params = init.clone();
+  ParamStore want_params = init.clone();
+  const TrainResult got =
+      train_full_batch(model, *c.ctx, c.data, got_params, tc);
+  const TrainResult want =
+      reference_train(model, *c.ctx, c.data, want_params, tc);
+
+  EXPECT_EQ(got.val_acc, want.val_acc) << tag;
+  EXPECT_EQ(got.train_loss, want.train_loss) << tag;
+  EXPECT_EQ(got.best_epoch, want.best_epoch) << tag;
+  EXPECT_EQ(got.best_val_acc, want.best_val_acc) << tag;
+  EXPECT_EQ(got.epochs_run, want.epochs_run) << tag;
+  for (const ParamEntry& e : want_params.entries()) {
+    EXPECT_TRUE(bitwise_equal(got_params.get(e.name), e.tensor))
+        << tag << " " << e.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ArchByContext, TrainerEvalParity,
+                         ::testing::Combine(::testing::Values(Arch::kGcn,
+                                                              Arch::kSage,
+                                                              Arch::kGat),
+                                            ::testing::Bool()));
 
 TEST(MinibatchTrainer, SageLearnsAboveChance) {
   const Dataset data = train_dataset(55);
