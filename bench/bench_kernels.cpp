@@ -145,6 +145,56 @@ void bench_gemm(const BenchConfig& cfg, bench::KernelReport& report) {
         cfg.min_iters, cfg.min_seconds);
     report.add(nt);
   }
+
+  // The training tape's real shapes on the products-like SAGE cell: the
+  // 47-class layer's forward GEMM (n % 16 != 0, so a partial column tile
+  // in every row strip) and the layer-0 weight gradient Xᵀ·dY, a tall
+  // contraction over every node.
+  const std::int64_t rows = cfg.smoke ? 1000 : 16000;
+  {
+    const Tensor x = random_tensor({rows, 64}, 5);
+    const Tensor w = random_tensor({64, 47}, 6);
+    Tensor y = Tensor::zeros({rows, 47});
+    for (const bool naive : {true, false}) {
+      bench::KernelResult r{"matmul", naive ? "naive" : "blocked",
+                            dense_shape(rows, 64, 47)};
+      r.flops = 2.0 * rows * 64 * 47;
+      r.bytes = (rows * 64 + 64 * 47 + rows * 47) * sizeof(float);
+      bench::time_kernel(
+          r,
+          [&] {
+            y.zero_();
+            if (naive) {
+              ops::matmul_naive_acc(x, w, y);
+            } else {
+              ops::matmul_acc(x, w, y);
+            }
+          },
+          cfg.min_iters, cfg.min_seconds);
+      report.add(r);
+    }
+  }
+  {
+    const Tensor x = random_tensor({rows, 80}, 7);
+    const Tensor dy = random_tensor({rows, 64}, 8);
+    for (const bool naive : {true, false}) {
+      bench::KernelResult r{"matmul_tn", naive ? "naive" : "blocked",
+                            dense_shape(80, rows, 64)};
+      r.flops = 2.0 * 80 * rows * 64;
+      r.bytes = (rows * 80 + rows * 64 + 80 * 64) * sizeof(float);
+      bench::time_kernel(
+          r,
+          [&] {
+            if (naive) {
+              ops::matmul_tn_naive(x, dy);
+            } else {
+              ops::matmul_tn(x, dy);
+            }
+          },
+          cfg.min_iters, cfg.min_seconds);
+      report.add(r);
+    }
+  }
 }
 
 /// Power-law-degree graph: high lognormal sigma gives the skewed indptr

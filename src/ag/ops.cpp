@@ -1,6 +1,8 @@
 #include "ag/ops.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "tensor/ops.hpp"
@@ -9,10 +11,62 @@
 namespace gsoup::ag {
 
 namespace {
-/// a.grad += g (allocating on first touch). Shared by all backward rules.
-void accumulate(const Value& parent, const Tensor& g) {
-  if (parent->requires_grad) parent->ensure_grad().add_(g);
+
+/// parent.grad += term(i) over n elements. A first contribution writes
+/// 0.0f + term(i) into fresh storage in one pass: bitwise what zeros()
+/// followed by += gives, without the zero-fill pass.
+template <class Term>
+void contribute(const Value& parent, std::int64_t n, Term term) {
+  if (!parent->requires_grad) return;
+  const bool first = !parent->grad.defined();
+  if (first) parent->grad = Tensor::empty(parent->value.shape());
+  float* __restrict__ dst = parent->grad.data();
+  if (first) {
+#pragma omp parallel for simd schedule(static) \
+    if (n >= kParallelNumelThreshold)
+    for (std::int64_t i = 0; i < n; ++i) dst[i] = 0.0f + term(i);
+  } else {
+#pragma omp parallel for simd schedule(static) \
+    if (n >= kParallelNumelThreshold)
+    for (std::int64_t i = 0; i < n; ++i) dst[i] += term(i);
+  }
 }
+
+/// a.grad += g. Shared by the backward rules whose contribution is the
+/// incoming gradient itself.
+void accumulate(const Value& parent, const Tensor& g) {
+  const float* __restrict__ pg = g.data();
+  contribute(parent, g.numel(), [pg](std::int64_t i) { return pg[i]; });
+}
+
+/// a.grad += g for a fresh tensor `g` that no other node holds (a GEMM
+/// result). A first contribution hands `g` over as the gradient itself:
+/// a GEMM result is 0 + Σ and never −0, so it equals zeros() + g bitwise.
+void hand_over(const Value& parent, Tensor g) {
+  if (parent->grad.defined()) {
+    parent->grad.add_(g);
+  } else {
+    parent->grad = std::move(g);
+  }
+}
+
+/// Dropout keep mask: one byte per element in tracked storage (a float
+/// tensor of ceil(n/4) elements viewed as bytes), so MemoryTracker counts
+/// it with the rest of the tape.
+struct ByteMask {
+  explicit ByteMask(std::int64_t n) : storage(Tensor::empty({(n + 3) / 4})) {}
+  std::uint8_t* data() { return reinterpret_cast<std::uint8_t*>(storage.data()); }
+  const std::uint8_t* data() const {
+    return reinterpret_cast<const std::uint8_t*>(storage.data());
+  }
+  Tensor storage;
+};
+
+/// Mask bytes drawn ahead of each branchless apply pass: enough to keep
+/// the serial generator loop and the vectorised multiply apart, small
+/// enough to stay in L1.
+constexpr std::int64_t kDropoutBatch = 512;
+
 }  // namespace
 
 Value matmul(const Value& a, const Value& b) {
@@ -22,11 +76,11 @@ Value matmul(const Value& a, const Value& b) {
       [a, b](Node& node) {
         if (a->requires_grad) {
           // dA = dC · Bᵀ
-          a->ensure_grad().add_(ops::matmul_nt(node.grad, b->value));
+          hand_over(a, ops::matmul_nt(node.grad, b->value));
         }
         if (b->requires_grad) {
           // dB = Aᵀ · dC
-          b->ensure_grad().add_(ops::matmul_tn(a->value, node.grad));
+          hand_over(b, ops::matmul_tn(a->value, node.grad));
         }
       },
       "matmul");
@@ -50,13 +104,24 @@ Value add_bias(const Value& x, const Value& bias) {
       [x, bias](Node& node) {
         accumulate(x, node.grad);
         if (bias->requires_grad) {
+          // Column sums over the rows in row order, vectorised across
+          // columns; threads take whole column blocks, so every column's
+          // order is the serial one at any thread count.
+          constexpr std::int64_t kCols = 16;
           Tensor& bg = bias->ensure_grad();
           const std::int64_t m = node.grad.shape(0);
           const std::int64_t n = node.grad.shape(1);
-          const float* g = node.grad.data();
-          float* pb = bg.data();
-          for (std::int64_t i = 0; i < m; ++i) {
-            for (std::int64_t j = 0; j < n; ++j) pb[j] += g[i * n + j];
+          const float* __restrict__ g = node.grad.data();
+          float* __restrict__ pb = bg.data();
+#pragma omp parallel for schedule(static) \
+    if (m * n >= kParallelNumelThreshold && n > kCols)
+          for (std::int64_t j0 = 0; j0 < n; j0 += kCols) {
+            const std::int64_t j1 = std::min(n, j0 + kCols);
+            for (std::int64_t i = 0; i < m; ++i) {
+              const float* __restrict__ grow = g + i * n;
+#pragma omp simd
+              for (std::int64_t j = j0; j < j1; ++j) pb[j] += grow[j];
+            }
           }
         }
       },
@@ -79,13 +144,21 @@ Value relu(const Value& x) {
       std::move(out), {x},
       [x](Node& node) {
         if (!x->requires_grad) return;
-        Tensor& xg = x->ensure_grad();
-        const float* xv = x->value.data();
-        const float* g = node.grad.data();
-        float* dst = xg.data();
+        const float* __restrict__ xv = x->value.data();
+        const float* __restrict__ g = node.grad.data();
         const std::int64_t n = node.grad.numel();
+        if (!x->grad.defined()) {
+          contribute(x, n, [xv, g](std::int64_t i) {
+            return xv[i] > 0.0f ? g[i] : 0.0f;
+          });
+          return;
+        }
+        // Adding only where x > 0 leaves the other elements' bits alone.
+        float* __restrict__ dst = x->grad.data();
+#pragma omp parallel for simd schedule(static) \
+    if (n >= kParallelNumelThreshold)
         for (std::int64_t i = 0; i < n; ++i) {
-          if (xv[i] > 0.0f) dst[i] += g[i];
+          dst[i] = xv[i] > 0.0f ? dst[i] + g[i] : dst[i];
         }
       },
       "relu");
@@ -135,21 +208,58 @@ Value dropout(const Value& x, float p, Rng& rng, bool training) {
   GSOUP_CHECK_MSG(p < 1.0f, "dropout probability must be < 1");
   const float keep = 1.0f - p;
   const float inv_keep = 1.0f / keep;
-  Tensor mask = Tensor::empty(x->value.shape());
+  // rng.bernoulli(keep) is (draw >> 11) · 2⁻⁵³ < keep, with both sides
+  // exact doubles; scaling by 2⁵³ turns it into an integer compare against
+  // ceil(keep · 2⁵³). One draw per element, in element order, from a copy
+  // of the generator the compiler can keep in registers: the same stream
+  // and the same final state as a per-element bernoulli loop.
+  const auto threshold =
+      static_cast<std::uint64_t>(std::ceil(static_cast<double>(keep) * 0x1p53));
+  const std::int64_t n = x->value.numel();
+  ByteMask mask(n);
+  Tensor out = Tensor::empty(x->value.shape());
   {
-    float* pm = mask.data();
-    const std::int64_t n = mask.numel();
-    for (std::int64_t i = 0; i < n; ++i) {
-      pm[i] = rng.bernoulli(keep) ? inv_keep : 0.0f;
+    Rng local = rng;
+    std::uint8_t* __restrict__ pm = mask.data();
+    const float* __restrict__ px = x->value.data();
+    float* __restrict__ po = out.data();
+    for (std::int64_t base = 0; base < n; base += kDropoutBatch) {
+      const std::int64_t len = std::min(kDropoutBatch, n - base);
+      for (std::int64_t i = base; i < base + len; ++i) {
+        pm[i] = static_cast<std::uint8_t>((local() >> 11) < threshold);
+      }
+      // x · (inv_keep or 0): the same product as x times a float mask.
+#pragma omp simd
+      for (std::int64_t i = base; i < base + len; ++i) {
+        po[i] = px[i] * (pm[i] != 0 ? inv_keep : 0.0f);
+      }
     }
+    rng = local;
   }
-  Tensor out = ops::mul(x->value, mask);
   return make_node(
       std::move(out), {x},
-      [x, mask](Node& node) {
-        if (x->requires_grad) {
-          x->ensure_grad().add_(ops::mul(node.grad, mask));
+      [x, mask, inv_keep](Node& node) {
+        if (!x->requires_grad) return;
+        const std::uint8_t* __restrict__ pm = mask.data();
+        const float* __restrict__ g = node.grad.data();
+        const std::int64_t n = node.grad.numel();
+        if (!x->grad.defined()) {
+          contribute(x, n, [pm, g, inv_keep](std::int64_t i) {
+            return g[i] * (pm[i] != 0 ? inv_keep : 0.0f);
+          });
+          return;
         }
+        // A later contribution rounds the product before the add, as the
+        // mask multiply always did; a fused loop could contract the two
+        // into one multiply-add and change the bits.
+        Tensor product = Tensor::empty(node.grad.shape());
+        float* __restrict__ pp = product.data();
+#pragma omp parallel for simd schedule(static) \
+    if (n >= kParallelNumelThreshold)
+        for (std::int64_t i = 0; i < n; ++i) {
+          pp[i] = g[i] * (pm[i] != 0 ? inv_keep : 0.0f);
+        }
+        x->grad.add_(product);
       },
       "dropout");
 }

@@ -13,18 +13,30 @@
 
 namespace gsoup::ops::detail {
 
-// The micro-kernel holds an MR×NR accumulator block in registers (4×16
-// floats = 8 YMM / 4 ZMM registers, leaving room for the broadcast A
-// value and the B row). KC×NC is the packed B panel: 256×128 floats =
+// The micro-kernel holds an MR×NR accumulator block in registers. With
+// AVX-512's 32 vector registers the block is 8×16 floats = 8 ZMM
+// accumulators: eight independent FMA chains per B row cover the FMA
+// latency, where four chains leave the FMA pipes half idle. With 16
+// vector registers it stays 4×16 (8 YMM), leaving room for the broadcast
+// A value and the B row. Every TU of one build sees the same ISA macros,
+// so they agree on the height, and the height never changes a result
+// bit: each element's contraction runs over p in the same order whatever
+// strip it sits in. KC×NC is the packed B panel: 256×128 floats =
 // 128 KiB, sized to sit in L2 while an MR×KC strip of A streams through
 // L1.
+#if defined(__AVX512F__)
+constexpr std::int64_t kMR = 8;
+#else
 constexpr std::int64_t kMR = 4;
+#endif
 constexpr std::int64_t kNR = 16;
 constexpr std::int64_t kKC = 256;
 constexpr std::int64_t kNC = 128;
 
 /// Full MR×NR register tile: C[0:MR, 0:NR] ?= A[0:MR, 0:kc] · Bp[0:kc, 0:NR]
-/// where Bp rows are `ldb` apart (the packed panel width). The operands are
+/// where A[r, p] is a[r * lda + p * ldp] (ldp = 1 for a row-major strip;
+/// lda = 1 reads a strip of a transposed operand in place) and Bp rows are
+/// `ldb` apart (the packed panel width). The operands are
 /// always fp32 here — half-stored A/B widen during packing (PackA16 /
 /// PackB16 in ops.cpp), so the contraction itself is fp32 for every storage
 /// precision, in the same order, which is the reduced-precision numerics
@@ -33,15 +45,16 @@ constexpr std::int64_t kNC = 128;
 /// product, i.e. a single k-panel.
 template <bool kCombineBias>
 inline void micro_kernel_full(std::int64_t kc, const float* __restrict__ a,
-                              std::int64_t lda, const float* __restrict__ bp,
-                              std::int64_t ldb, float* __restrict__ c,
-                              std::int64_t ldc,
+                              std::int64_t lda, std::int64_t ldp,
+                              const float* __restrict__ bp, std::int64_t ldb,
+                              float* __restrict__ c, std::int64_t ldc,
                               const float* __restrict__ bias) {
   float acc[kMR][kNR] = {};
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* __restrict__ brow = bp + p * ldb;
+    const float* __restrict__ acol = a + p * ldp;
     for (std::int64_t r = 0; r < kMR; ++r) {
-      const float av = a[r * lda + p];
+      const float av = acol[r * lda];
 #pragma omp simd
       for (std::int64_t j = 0; j < kNR; ++j) acc[r][j] += av * brow[j];
     }

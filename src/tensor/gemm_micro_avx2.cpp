@@ -24,15 +24,15 @@ bool available() {
   return has;
 }
 
-void full(std::int64_t kc, const float* a, std::int64_t lda, const float* bp,
-          std::int64_t ldb, float* c, std::int64_t ldc) {
-  detail::micro_kernel_full<false>(kc, a, lda, bp, ldb, c, ldc, nullptr);
+void full(std::int64_t kc, const float* a, std::int64_t lda, std::int64_t ldp,
+          const float* bp, std::int64_t ldb, float* c, std::int64_t ldc) {
+  detail::micro_kernel_full<false>(kc, a, lda, ldp, bp, ldb, c, ldc, nullptr);
 }
 
 void full_bias(std::int64_t kc, const float* a, std::int64_t lda,
-               const float* bp, std::int64_t ldb, float* c, std::int64_t ldc,
-               const float* bias) {
-  detail::micro_kernel_full<true>(kc, a, lda, bp, ldb, c, ldc, bias);
+               std::int64_t ldp, const float* bp, std::int64_t ldb, float* c,
+               std::int64_t ldc, const float* bias) {
+  detail::micro_kernel_full<true>(kc, a, lda, ldp, bp, ldb, c, ldc, bias);
 }
 
 }  // namespace gsoup::ops::gemmsimd
@@ -43,13 +43,14 @@ namespace gsoup::ops::gemmsimd {
 
 bool available() { return false; }
 
-void full(std::int64_t, const float*, std::int64_t, const float*,
-          std::int64_t, float*, std::int64_t) {
+void full(std::int64_t, const float*, std::int64_t, std::int64_t,
+          const float*, std::int64_t, float*, std::int64_t) {
   GSOUP_CHECK_MSG(false, "gemmsimd::full called without AVX2 support");
 }
 
-void full_bias(std::int64_t, const float*, std::int64_t, const float*,
-               std::int64_t, float*, std::int64_t, const float*) {
+void full_bias(std::int64_t, const float*, std::int64_t, std::int64_t,
+               const float*, std::int64_t, float*, std::int64_t,
+               const float*) {
   GSOUP_CHECK_MSG(false, "gemmsimd::full_bias called without AVX2 support");
 }
 

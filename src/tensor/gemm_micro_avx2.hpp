@@ -11,10 +11,10 @@ bool available();
 /// AVX2 instantiations of detail::micro_kernel_full — identical source,
 /// wider vectors, no FMA, so they are bit-exact drop-ins for the baseline
 /// kernel (see gemm_micro.hpp). Callers must have checked available().
-void full(std::int64_t kc, const float* a, std::int64_t lda, const float* bp,
-          std::int64_t ldb, float* c, std::int64_t ldc);
+void full(std::int64_t kc, const float* a, std::int64_t lda, std::int64_t ldp,
+          const float* bp, std::int64_t ldb, float* c, std::int64_t ldc);
 void full_bias(std::int64_t kc, const float* a, std::int64_t lda,
-               const float* bp, std::int64_t ldb, float* c, std::int64_t ldc,
-               const float* bias);
+               std::int64_t ldp, const float* bp, std::int64_t ldb, float* c,
+               std::int64_t ldc, const float* bias);
 
 }  // namespace gsoup::ops::gemmsimd

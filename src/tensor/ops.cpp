@@ -61,30 +61,19 @@ struct AlignedBuffer {
 /// Identity "widen" for fp32-stored A elements (the template's base case).
 inline float widen_f32(float x) { return x; }
 
-/// Edge tile (mr < MR and/or nr < NR): same contraction with runtime
-/// bounds.
-template <bool kCombineBias>
-void micro_kernel_edge(std::int64_t mr, std::int64_t nr, std::int64_t kc,
-                       const float* __restrict__ a, std::int64_t lda,
-                       const float* __restrict__ bp, std::int64_t ldb,
-                       float* __restrict__ c, std::int64_t ldc,
-                       const float* __restrict__ bias) {
-  float acc[kMR][kNR] = {};
+/// Width of the packed B panel for an nc-column block: nc rounded up to
+/// kNR. The padding columns are zero, so the last, partial column tile
+/// runs the full-width vector micro-kernel like every other tile.
+constexpr std::int64_t padded_width(std::int64_t nc) {
+  return (nc + kNR - 1) / kNR * kNR;
+}
+
+/// Zero-fills the padding columns [nc, ncp) of kc packed panel rows.
+inline void zero_panel_padding(float* __restrict__ bp, std::int64_t kc,
+                               std::int64_t nc, std::int64_t ncp) {
+  if (nc == ncp) return;
   for (std::int64_t p = 0; p < kc; ++p) {
-    const float* __restrict__ brow = bp + p * ldb;
-    for (std::int64_t r = 0; r < mr; ++r) {
-      const float av = a[r * lda + p];
-      for (std::int64_t j = 0; j < nr; ++j) acc[r][j] += av * brow[j];
-    }
-  }
-  for (std::int64_t r = 0; r < mr; ++r) {
-    for (std::int64_t j = 0; j < nr; ++j) {
-      if constexpr (kCombineBias) {
-        c[r * ldc + j] = (acc[r][j] + c[r * ldc + j]) + bias[j];
-      } else {
-        c[r * ldc + j] += acc[r][j];
-      }
-    }
+    std::fill(bp + p * ncp + nc, bp + (p + 1) * ncp, 0.0f);
   }
 }
 
@@ -93,11 +82,33 @@ struct PackB32 {
   const float* __restrict__ pb;
   std::int64_t n;
   void operator()(float* __restrict__ bp, std::int64_t kk, std::int64_t jc,
-                  std::int64_t kc, std::int64_t nc) const {
+                  std::int64_t kc, std::int64_t nc, std::int64_t ncp) const {
     for (std::int64_t p = 0; p < kc; ++p) {
-      std::memcpy(bp + p * nc, pb + (kk + p) * n + jc,
+      std::memcpy(bp + p * ncp, pb + (kk + p) * n + jc,
                   static_cast<std::size_t>(nc) * sizeof(float));
     }
+    zero_panel_padding(bp, kc, nc, ncp);
+  }
+};
+
+/// Packs B = Sᵀ from a row-major S [n, k] (matmul_nt's right operand):
+/// the panel receives exactly the values a materialised transpose would
+/// hold, gathered straight from S's rows.
+struct PackBT32 {
+  const float* __restrict__ ps;
+  std::int64_t k;
+  void operator()(float* __restrict__ bp, std::int64_t kk, std::int64_t jc,
+                  std::int64_t kc, std::int64_t nc, std::int64_t ncp) const {
+    // kNR-deep bands keep the band's panel rows in L1 while each S row
+    // contributes one contiguous run.
+    for (std::int64_t p0 = 0; p0 < kc; p0 += kNR) {
+      const std::int64_t p1 = std::min(kc, p0 + kNR);
+      for (std::int64_t j = 0; j < nc; ++j) {
+        const float* __restrict__ srow = ps + (jc + j) * k + kk;
+        for (std::int64_t p = p0; p < p1; ++p) bp[p * ncp + j] = srow[p];
+      }
+    }
+    zero_panel_padding(bp, kc, nc, ncp);
   }
 };
 
@@ -109,24 +120,62 @@ struct PackB16 {
   std::int64_t n;
   Precision prec;
   void operator()(float* __restrict__ bp, std::int64_t kk, std::int64_t jc,
-                  std::int64_t kc, std::int64_t nc) const {
+                  std::int64_t kc, std::int64_t nc, std::int64_t ncp) const {
     for (std::int64_t p = 0; p < kc; ++p) {
-      half::widen(pb + (kk + p) * n + jc, bp + p * nc, nc, prec);
+      half::widen(pb + (kk + p) * n + jc, bp + p * ncp, nc, prec);
     }
+    zero_panel_padding(bp, kc, nc, ncp);
   }
 };
 
-/// A-strip access for fp32 A: no copy, the micro-kernel reads A in place at
-/// the matrix's own row stride.
+// A-strip access. Every PackA returns kMR readable rows of kc values,
+// A[r, p] at a[r * lda + p * ldp]: a partial strip (mr < kMR) is copied
+// row-major into the loop-private scratch with zero rows below it, so the
+// strip always feeds the full micro-kernel.
+struct AStrip {
+  const float* a;
+  std::int64_t lda;
+  std::int64_t ldp;
+};
+
+/// Zero-fills the padding rows [mr, kMR) of a kc-wide scratch strip.
+inline void zero_strip_padding(float* __restrict__ scratch, std::int64_t mr,
+                               std::int64_t kc) {
+  std::fill(scratch + mr * kc, scratch + kMR * kc, 0.0f);
+}
+
+/// A-strip access for fp32 A: full strips are read in place at the
+/// matrix's own row stride.
 struct PackA32 {
   const float* __restrict__ pa;
   std::int64_t k;
-  const float* operator()(float* /*scratch*/, std::int64_t i0,
-                          std::int64_t kk, std::int64_t /*mr*/,
-                          std::int64_t kc_unused, std::int64_t& lda) const {
-    (void)kc_unused;
-    lda = k;
-    return pa + i0 * k + kk;
+  AStrip operator()(float* __restrict__ scratch, std::int64_t i0,
+                    std::int64_t kk, std::int64_t mr, std::int64_t kc) const {
+    if (mr == kMR) return {pa + i0 * k + kk, k, 1};
+    for (std::int64_t r = 0; r < mr; ++r) {
+      std::memcpy(scratch + r * kc, pa + (i0 + r) * k + kk,
+                  static_cast<std::size_t>(kc) * sizeof(float));
+    }
+    zero_strip_padding(scratch, mr, kc);
+    return {scratch, kc, 1};
+  }
+};
+
+/// A-strip access for A = Sᵀ from a row-major S [k, m] (matmul_tn's left
+/// operand): a full strip is read in place, A[r, p] = S[kk + p, i0 + r],
+/// so no transposed copy of S is ever written.
+struct PackAT32 {
+  const float* __restrict__ ps;
+  std::int64_t m;
+  AStrip operator()(float* __restrict__ scratch, std::int64_t i0,
+                    std::int64_t kk, std::int64_t mr, std::int64_t kc) const {
+    if (mr == kMR) return {ps + kk * m + i0, 1, m};
+    for (std::int64_t p = 0; p < kc; ++p) {
+      const float* __restrict__ srow = ps + (kk + p) * m + i0;
+      for (std::int64_t r = 0; r < mr; ++r) scratch[r * kc + p] = srow[r];
+    }
+    zero_strip_padding(scratch, mr, kc);
+    return {scratch, kc, 1};
   }
 };
 
@@ -140,14 +189,13 @@ struct PackA16 {
   const std::uint16_t* __restrict__ pa;
   std::int64_t k;
   Precision prec;
-  const float* operator()(float* __restrict__ scratch, std::int64_t i0,
-                          std::int64_t kk, std::int64_t mr, std::int64_t kc,
-                          std::int64_t& lda) const {
+  AStrip operator()(float* __restrict__ scratch, std::int64_t i0,
+                    std::int64_t kk, std::int64_t mr, std::int64_t kc) const {
     for (std::int64_t r = 0; r < mr; ++r) {
       half::widen(pa + (i0 + r) * k + kk, scratch + r * kc, kc, prec);
     }
-    lda = kc;
-    return scratch;
+    zero_strip_padding(scratch, mr, kc);
+    return {scratch, kc, 1};
   }
 };
 
@@ -156,52 +204,74 @@ struct PackA16 {
 /// with a register-tiled micro-kernel. Threads split the M dimension, so
 /// the packed panel is shared read-only. The kCombineBias instantiation
 /// requires k <= kKC (single k-panel; see gemm_can_combine_bias).
+///
+/// Every tile runs the full MR×NR micro-kernel. The panel is padded to a
+/// multiple of kNR with zero columns and partial A strips with zero rows;
+/// a partial tile is computed into a local MR×NR tile that holds the live
+/// C (and bias) values, and only the live elements are stored back. Each
+/// live element sees the same multiply-add sequence and the same
+/// c += acc / (acc + c) + bias store as in a full tile, so the result is
+/// bit-identical to a scalar loop over the live elements alone.
 template <bool kCombineBias, typename PackA, typename PackB>
 void gemm_blocked_acc_t(std::int64_t m, std::int64_t n, std::int64_t k,
                         const PackA& pack_a, const PackB& pack_b,
                         float* __restrict__ pc,
                         const float* __restrict__ bias) {
-  // Full tiles go to the AVX2 build of the micro-kernel when the CPU has
-  // it — bit-exact with the baseline build (see gemm_micro.hpp), just
-  // wider vectors, which roughly doubles portable-build GEMM throughput.
-  // Edge tiles are a vanishing fraction of the work and stay baseline.
+  // Tiles go to the AVX2 build of the micro-kernel when the CPU has it —
+  // bit-exact with the baseline build (see gemm_micro.hpp), just wider
+  // vectors, which roughly doubles portable-build GEMM throughput.
   const bool simd = gemmsimd::available();
+  const auto tile = [simd](std::int64_t kc, const AStrip& s,
+                           const float* bp, std::int64_t ldb, float* c,
+                           std::int64_t ldc, const float* btile) {
+    if constexpr (kCombineBias) {
+      if (simd) {
+        gemmsimd::full_bias(kc, s.a, s.lda, s.ldp, bp, ldb, c, ldc, btile);
+      } else {
+        micro_kernel_full<true>(kc, s.a, s.lda, s.ldp, bp, ldb, c, ldc,
+                                btile);
+      }
+    } else if (simd) {
+      gemmsimd::full(kc, s.a, s.lda, s.ldp, bp, ldb, c, ldc);
+    } else {
+      micro_kernel_full<false>(kc, s.a, s.lda, s.ldp, bp, ldb, c, ldc,
+                               nullptr);
+    }
+  };
   AlignedBuffer panel(kKC * kNC);
   float* __restrict__ bp = panel.ptr;
   for (std::int64_t jc = 0; jc < n; jc += kNC) {
     const std::int64_t nc = std::min(kNC, n - jc);
+    const std::int64_t ncp = padded_width(nc);
     for (std::int64_t kk = 0; kk < k; kk += kKC) {
       const std::int64_t kc = std::min(kKC, k - kk);
-      pack_b(bp, kk, jc, kc, nc);
+      pack_b(bp, kk, jc, kc, nc, ncp);
 #pragma omp parallel for schedule(static) if (m >= kParallelRowThreshold)
       for (std::int64_t i0 = 0; i0 < m; i0 += kMR) {
         const std::int64_t mr = std::min(kMR, m - i0);
-        // Loop-private scratch for PackA16's widened strip (kMR×kKC floats
-        // = 4 KiB of stack); PackA32 ignores it and aliases A directly.
-        float apack[kMR * kKC];
-        std::int64_t lda;
-        const float* __restrict__ astrip =
-            pack_a(apack, i0, kk, mr, kc, lda);
+        // Loop-private scratch for a copied or widened strip (kMR×kKC
+        // floats, at most 8 KiB of stack); full fp32 strips are read in
+        // place.
+        alignas(kTensorAlignment) float apack[kMR * kKC];
+        const AStrip astrip = pack_a(apack, i0, kk, mr, kc);
         float* __restrict__ cstrip = pc + i0 * n + jc;
         for (std::int64_t j0 = 0; j0 < nc; j0 += kNR) {
           const std::int64_t nr = std::min(kNR, nc - j0);
           const float* __restrict__ btile =
               bias == nullptr ? nullptr : bias + jc + j0;
           if (mr == kMR && nr == kNR) {
-            if (simd) {
-              if constexpr (kCombineBias) {
-                gemmsimd::full_bias(kc, astrip, lda, bp + j0, nc, cstrip + j0,
-                                    n, btile);
-              } else {
-                gemmsimd::full(kc, astrip, lda, bp + j0, nc, cstrip + j0, n);
-              }
-            } else {
-              micro_kernel_full<kCombineBias>(kc, astrip, lda, bp + j0, nc,
-                                              cstrip + j0, n, btile);
-            }
-          } else {
-            micro_kernel_edge<kCombineBias>(mr, nr, kc, astrip, lda, bp + j0,
-                                            nc, cstrip + j0, n, btile);
+            tile(kc, astrip, bp + j0, ncp, cstrip + j0, n, btile);
+            continue;
+          }
+          alignas(kTensorAlignment) float ctile[kMR * kNR] = {};
+          alignas(kTensorAlignment) float bpad[kNR] = {};
+          for (std::int64_t r = 0; r < mr; ++r) {
+            std::copy_n(cstrip + r * n + j0, nr, ctile + r * kNR);
+          }
+          if (btile != nullptr) std::copy_n(btile, nr, bpad);
+          tile(kc, astrip, bp + j0, ncp, ctile, kNR, bpad);
+          for (std::int64_t r = 0; r < mr; ++r) {
+            std::copy_n(ctile + r * kNR, nr, cstrip + r * n + j0);
           }
         }
       }
@@ -402,11 +472,11 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   check_matmul(a, b, a.shape(0), b.shape(0));
   const std::int64_t k = a.shape(0), m = a.shape(1), n = b.shape(1);
   if (use_blocked_gemm(m, n, k)) {
-    // One tiled-transpose pass (O(mk) traffic) buys the packed kernel's
-    // O(mnk) contraction; always worth it above the FLOP threshold.
-    const Tensor at = transpose(a);
+    // The kernel reads Aᵀ's strips in place (PackAT32): the same values in
+    // the same order as a transposed copy, with no [m, k] temporary.
     Tensor c = Tensor::zeros({m, n});
-    gemm_blocked_acc(m, n, k, at.data(), b.data(), c.data());
+    gemm_blocked_acc_t<false>(m, n, k, PackAT32{a.data(), m},
+                              PackB32{b.data(), n}, c.data(), nullptr);
     return c;
   }
   return matmul_tn_naive(a, b);
@@ -437,9 +507,10 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   check_matmul(a, b, a.shape(1), b.shape(1));
   const std::int64_t m = a.shape(0), k = a.shape(1), n = b.shape(0);
   if (use_blocked_gemm(m, n, k)) {
-    const Tensor bt = transpose(b);
+    // Bᵀ is gathered straight into the packed panel.
     Tensor c = Tensor::zeros({m, n});
-    gemm_blocked_acc(m, n, k, a.data(), bt.data(), c.data());
+    gemm_blocked_acc_t<false>(m, n, k, PackA32{a.data(), k},
+                              PackBT32{b.data(), k}, c.data(), nullptr);
     return c;
   }
   return matmul_nt_naive(a, b);

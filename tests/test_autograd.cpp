@@ -1,6 +1,9 @@
 // Finite-difference gradient checks and semantic tests for every dense
 // autodiff op. These are the foundation the souping results rest on: if
 // Eq. 4's gradients are right here, LS/PLS optimise the true objective.
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "ag/loss.hpp"
@@ -259,6 +262,145 @@ TEST(AutogradOps, DropoutGradientMatchesMask) {
       EXPECT_NEAR(g, 1.0f / 0.75f, 1e-5f);
     }
   }
+}
+
+bool bits_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.bytes()) == 0;
+}
+
+/// The dropout formulation the tape reproduces bit for bit: a float mask of
+/// per-element rng.bernoulli(keep) draws in element order, then a multiply.
+Tensor reference_dropout_mask(std::int64_t n, float p, Rng& rng) {
+  const float keep = 1.0f - p;
+  const float inv_keep = 1.0f / keep;
+  Tensor mask = Tensor::empty({n, 1});
+  for (std::int64_t i = 0; i < n; ++i) {
+    mask.at(i) = rng.bernoulli(keep) ? inv_keep : 0.0f;
+  }
+  return mask;
+}
+
+TEST(AutogradOps, DropoutMatchesPerElementBernoulliStreamBitwise) {
+  for (const std::int64_t n : {1, 255, 256, 257, 10000}) {
+    for (const float p : {0.1f, 0.3f, 0.5f, 0.9f}) {
+      for (const bool dropout_first : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " p=" << p
+                                          << " dropout_first="
+                                          << dropout_first);
+        Rng data(static_cast<std::uint64_t>(n) * 131 + 7);
+        auto x = ag::make_leaf(random_tensor({n, 1}, data), true);
+        auto w = ag::constant(random_tensor({3, n}, data));
+        auto v = ag::constant(random_tensor({3, n}, data));
+        Rng rng(static_cast<std::uint64_t>(1000 * p) + n);
+        Rng ref_rng = rng;
+
+        // x feeds the dropout and a second matmul, so its gradient takes
+        // two contributions; the operand order of the final add decides
+        // whether the dropout's is the first or the second.
+        auto dropped = ag::dropout(x, p, rng, /*training=*/true);
+        auto through_dropout = ag::matmul(w, dropped);
+        auto direct = ag::matmul(v, x);
+        ag::backward(ag::sum(dropout_first ? ag::add(direct, through_dropout)
+                                           : ag::add(through_dropout, direct)));
+
+        const Tensor mask = reference_dropout_mask(n, p, ref_rng);
+        EXPECT_TRUE(bits_equal(dropped->value, ops::mul(x->value, mask)));
+        // The generator ends where the per-element loop leaves it.
+        for (int draw = 0; draw < 4; ++draw) EXPECT_EQ(rng(), ref_rng());
+
+        // Old backward: each contribution added into a zeroed gradient.
+        const Tensor ones = Tensor::full({3, 1}, 1.0f);
+        const Tensor via_dropout =
+            ops::mul(ops::matmul_tn(w->value, ones), mask);
+        const Tensor via_direct = ops::matmul_tn(v->value, ones);
+        Tensor expected = Tensor::zeros({n, 1});
+        expected.add_(dropout_first ? via_dropout : via_direct);
+        expected.add_(dropout_first ? via_direct : via_dropout);
+        EXPECT_TRUE(bits_equal(x->grad, expected));
+      }
+    }
+  }
+}
+
+TEST(AutogradOps, GradientHandOverSumsPathsWithoutSharingStorage) {
+  Rng rng(41);
+  auto h = ag::make_leaf(random_tensor({70, 24}, rng), true);
+  auto w1 = ag::make_leaf(random_tensor({24, 24}, rng), true);
+  auto w2 = ag::make_leaf(random_tensor({24, 24}, rng), true);
+  // h feeds two matmuls and an add.
+  auto p1 = ag::matmul(h, w1);
+  auto p2 = ag::matmul(h, w2);
+  auto both = ag::add(p1, p2);
+  auto out = ag::add(both, h);
+  ag::backward(ag::sum(out));
+
+  // Reverse topological order: the outer add reaches h first, then the
+  // second matmul, then the first.
+  const Tensor ones = Tensor::full({70, 24}, 1.0f);
+  Tensor expected = Tensor::zeros({70, 24});
+  expected.add_(ones);
+  expected.add_(ops::matmul_nt(ones, w2->value));
+  expected.add_(ops::matmul_nt(ones, w1->value));
+  EXPECT_TRUE(bits_equal(h->grad, expected));
+  Tensor w1_expected = Tensor::zeros({24, 24});
+  w1_expected.add_(ops::matmul_tn(h->value, ones));
+  EXPECT_TRUE(bits_equal(w1->grad, w1_expected));
+
+  // Path-sum check independent of the order argument above.
+  Tensor paths = ops::matmul_nt(ones, w1->value);
+  paths.add_(ops::matmul_nt(ones, w2->value));
+  paths.add_(ones);
+  EXPECT_LE(ops::max_abs_diff(h->grad, paths), 1e-5f);
+
+  // Every gradient owns its storage: writing one leaves the rest as is.
+  const std::vector<ag::Value> nodes{h, w1, w2, p1, p2, both, out};
+  for (const auto& target : nodes) {
+    std::vector<Tensor> before;
+    for (const auto& node : nodes) before.push_back(node->grad.clone());
+    target->grad.fill_(123.0f);
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (nodes[i] == target) continue;
+      EXPECT_FALSE(nodes[i]->grad.shares_storage_with(target->grad));
+      EXPECT_TRUE(bits_equal(nodes[i]->grad, before[i]));
+    }
+  }
+}
+
+TEST(AutogradOps, AddBiasAndReluGradientsMatchSerialLoopsBitwise) {
+  Rng rng(43);
+  auto x = ag::make_leaf(random_tensor({300, 40}, rng), true);
+  auto bias = ag::make_leaf(random_tensor({40}, rng), true);
+  auto w = ag::constant(random_tensor({40, 5}, rng));
+  // x also feeds a relu directly. With the direct branch as the add's
+  // first operand the backward reaches x through add_bias first, so that
+  // relu's contribution lands on an existing gradient while the other
+  // relu's is its node's first.
+  auto y = ag::relu(ag::add_bias(x, bias));
+  ag::backward(ag::sum(ag::add(ag::matmul(ag::relu(x), w), ag::matmul(y, w))));
+
+  const Tensor g = ops::matmul_nt(Tensor::full({300, 5}, 1.0f), w->value);
+  Tensor pre = ops::add_row_broadcast(x->value, bias->value);
+  Tensor bias_expected = Tensor::zeros({40});
+  Tensor x_expected = Tensor::zeros({300, 40});
+  for (std::int64_t i = 0; i < 300; ++i) {
+    for (std::int64_t j = 0; j < 40; ++j) {
+      const float gy = pre.at(i, j) > 0.0f ? 0.0f + g.at(i, j) : 0.0f;
+      bias_expected.at(j) += gy;
+    }
+  }
+  // x: first the add_bias path, then the direct relu path (reverse topo).
+  for (std::int64_t i = 0; i < 300; ++i) {
+    for (std::int64_t j = 0; j < 40; ++j) {
+      const float gy = pre.at(i, j) > 0.0f ? 0.0f + g.at(i, j) : 0.0f;
+      x_expected.at(i, j) = 0.0f + gy;
+    }
+  }
+  for (std::int64_t i = 0; i < x_expected.numel(); ++i) {
+    if (x->value.at(i) > 0.0f) x_expected.at(i) += g.at(i);
+  }
+  EXPECT_TRUE(bits_equal(bias->grad, bias_expected));
+  EXPECT_TRUE(bits_equal(x->grad, x_expected));
 }
 
 TEST(AutogradLoss, CrossEntropyMatchesManual) {

@@ -4,6 +4,7 @@
 // shapes that exercise every edge-tile path of the blocked GEMM.
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "ag/ops.hpp"
 #include "ag/value.hpp"
 #include "graph/csr.hpp"
+#include "tensor/half.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -54,7 +56,7 @@ TEST(Kernels, MatmulBlockedMatchesNaiveRandomShapes) {
 
 TEST(Kernels, MatmulBlockedEdgeTiles) {
   // Shapes chosen to hit partial MR/NR/KC/NC tiles: primes and off-by-one
-  // around the 4/16/256/128 tile geometry, all above the blocking
+  // around the 4-or-8/16/256/128 tile geometry, all above the blocking
   // threshold.
   const std::int64_t shapes[][3] = {{67, 300, 129},  {4, 256, 128},
                                     {5, 257, 129},   {127, 127, 127},
@@ -129,6 +131,192 @@ TEST(Kernels, MatmulNtBlockedMatchesNaive) {
                                 ops::matmul_nt_naive(a, b)),
               gemm_tol(k))
         << "m=" << m << " k=" << k << " n=" << n;
+  }
+}
+
+// ---- Bitwise GEMM contract ------------------------------------------------
+//
+// Every GEMM entry point computes each element in one fixed order, whatever
+// tile it lands in: blocked shapes sum each 256-deep k-panel from zero in p
+// order and then add the panel into C (the combine form stores
+// (acc + c) + bias over its single panel); shapes below the blocking
+// threshold add each product straight into C. The oracle below spells that
+// order out, so a kernel rewrite that moves any element to a different
+// tile path (edge tiles, packing, transposed operands) must still match it
+// bit for bit.
+
+constexpr std::int64_t kOracleKC = 256;
+
+/// One multiply-add rounded the way the kernels round it. Where the build
+/// targets FMA the compiler contracts the kernels' `acc += a * b` into a
+/// fused multiply-add (GCC's default -ffp-contract=fast); it does not
+/// reliably contract this oracle's scalar loops, so spell the fusion out.
+float madd(float acc, float a, float b) {
+#if defined(__FMA__)
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
+
+/// ops' blocked-GEMM threshold: 2·m·n·k >= 2·48³.
+bool oracle_blocked(std::int64_t m, std::int64_t n, std::int64_t k) {
+  return 2 * m * n * k >= 2ll * 48 * 48 * 48;
+}
+
+/// C ?= A·B (A [m,k], B [k,n], row-major) in the contract's order.
+std::vector<float> gemm_oracle(const std::vector<float>& a,
+                               const std::vector<float>& b,
+                               std::vector<float> c, std::int64_t m,
+                               std::int64_t n, std::int64_t k,
+                               const float* bias = nullptr) {
+  const bool blocked = oracle_blocked(m, n, k);
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float cij = c[i * n + j];
+      if (!blocked) {
+        for (std::int64_t p = 0; p < k; ++p) {
+          cij = madd(cij, a[i * k + p], b[p * n + j]);
+        }
+      } else {
+        for (std::int64_t kk = 0; kk < k; kk += kOracleKC) {
+          float acc = 0.0f;
+          for (std::int64_t p = kk; p < std::min(k, kk + kOracleKC); ++p) {
+            acc = madd(acc, a[i * k + p], b[p * n + j]);
+          }
+          cij = bias != nullptr ? (acc + cij) + bias[j] : cij + acc;
+        }
+      }
+      c[i * n + j] = cij;
+    }
+  }
+  return c;
+}
+
+std::vector<float> values_of(const Tensor& t) {
+  return {t.data(), t.data() + t.numel()};
+}
+
+std::vector<float> transposed(const Tensor& t) {
+  const std::int64_t r = t.shape(0), c = t.shape(1);
+  std::vector<float> out(static_cast<std::size_t>(r * c));
+  for (std::int64_t i = 0; i < r; ++i)
+    for (std::int64_t j = 0; j < c; ++j) out[j * r + i] = t.at(i, j);
+  return out;
+}
+
+bool bits_equal(const Tensor& got, const std::vector<float>& want) {
+  return static_cast<std::size_t>(got.numel()) == want.size() &&
+         std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) ==
+             0;
+}
+
+struct GemmShape {
+  std::int64_t m, n, k;
+};
+
+/// n % 16 in 1..15, m % 4 in 1..3 (and m % 8, for the 8-row tiles of
+/// AVX-512 builds, in 1..7) and k across the 256-deep panel edge,
+/// on both sides of the blocking threshold; plus k = 1 at a blocked size
+/// and a shape spanning two 128-wide column panels.
+std::vector<GemmShape> tile_contract_shapes() {
+  std::vector<GemmShape> shapes;
+  for (const std::int64_t k : {1, 255, 256, 257, 600}) {
+    for (std::int64_t r = 1; r < 16; ++r) {
+      for (const std::int64_t m : {5, 38, 67}) shapes.push_back({m, 16 + r, k});
+    }
+  }
+  shapes.push_back({4003, 31, 1});
+  shapes.push_back({4002, 17, 1});
+  shapes.push_back({67, 143, 257});
+  shapes.push_back({129, 47, 64});
+  shapes.push_back({44, 31, 257});
+  shapes.push_back({7, 31, 600});
+  return shapes;
+}
+
+TEST(GemmContract, Fp32EntryPointsMatchOracleBitwise) {
+  int blocked = 0, naive = 0, combined = 0;
+  for (const GemmShape& s : tile_contract_shapes()) {
+    const std::int64_t m = s.m, n = s.n, k = s.k;
+    SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n << " k=" << k);
+    (oracle_blocked(m, n, k) ? blocked : naive) += 1;
+    const Tensor a = random_tensor({m, k}, 11 * m + k);
+    const Tensor b = random_tensor({k, n}, 13 * n + k);
+    const Tensor c0 = random_tensor({m, n}, 17 * m + n);
+    const std::vector<float> av = values_of(a), bv = values_of(b);
+
+    // matmul_acc accumulates into a nonzero C.
+    Tensor c = c0.clone();
+    ops::matmul_acc(a, b, c);
+    EXPECT_TRUE(bits_equal(c, gemm_oracle(av, bv, values_of(c0), m, n, k)))
+        << "matmul_acc";
+
+    // matmul_tn(Aᵀ stored [k,m]) and matmul_nt(Bᵀ stored [n,k]).
+    const std::vector<float> zeros(static_cast<std::size_t>(m * n), 0.0f);
+    const Tensor at = Tensor::from_vector(transposed(a), {k, m});
+    EXPECT_TRUE(bits_equal(ops::matmul_tn(at, b),
+                           gemm_oracle(av, bv, zeros, m, n, k)))
+        << "matmul_tn";
+    // Below the threshold matmul_nt is a vectorised dot-product reduction
+    // whose order the contract does not fix.
+    if (oracle_blocked(m, n, k)) {
+      const Tensor bt = Tensor::from_vector(transposed(b), {n, k});
+      EXPECT_TRUE(bits_equal(ops::matmul_nt(a, bt),
+                             gemm_oracle(av, bv, zeros, m, n, k)))
+          << "matmul_nt";
+    }
+
+    if (ops::gemm_can_combine_bias(m, n, k)) {
+      ++combined;
+      const Tensor bias = random_tensor({n}, 19 * n);
+      Tensor cb = c0.clone();
+      ops::matmul_combine_bias(a, b, bias, cb);
+      EXPECT_TRUE(bits_equal(cb, gemm_oracle(av, bv, values_of(c0), m, n, k,
+                                             bias.data())))
+          << "matmul_combine_bias";
+    }
+  }
+  EXPECT_GT(blocked, 0);
+  EXPECT_GT(naive, 0);
+  EXPECT_GT(combined, 0);
+}
+
+TEST(GemmContract, HalfOverloadsMatchOracleOverWidenedOperandsBitwise) {
+  for (const Precision p : {Precision::kFp16, Precision::kBf16}) {
+    for (const GemmShape& s : tile_contract_shapes()) {
+      const std::int64_t m = s.m, n = s.n, k = s.k;
+      SCOPED_TRACE(::testing::Message() << precision_name(p) << " m=" << m
+                                        << " n=" << n << " k=" << k);
+      const HalfBuffer ha = HalfBuffer::quantize(
+          random_tensor({m, k}, 23 * m + k), p);
+      const HalfBuffer hb = HalfBuffer::quantize(
+          random_tensor({k, n}, 29 * n + k), p);
+      const Tensor wa = ha.widen(), wb = hb.widen();
+      const Tensor c0 = random_tensor({m, n}, 31 * m + n);
+      const std::vector<float> av = values_of(wa), bv = values_of(wb);
+      const std::vector<float> want =
+          gemm_oracle(av, bv, values_of(c0), m, n, k);
+
+      Tensor c = c0.clone();
+      ops::matmul_acc(ha, hb, c);
+      EXPECT_TRUE(bits_equal(c, want)) << "half A, half B";
+      c = c0.clone();
+      ops::matmul_acc(ha, wb, c);
+      EXPECT_TRUE(bits_equal(c, want)) << "half A, fp32 B";
+      c = c0.clone();
+      ops::matmul_acc(wa, hb, c);
+      EXPECT_TRUE(bits_equal(c, want)) << "fp32 A, half B";
+
+      if (ops::gemm_can_combine_bias(m, n, k)) {
+        const Tensor bias = random_tensor({n}, 37 * n);
+        c = c0.clone();
+        ops::matmul_combine_bias(ha, hb, bias, c);
+        EXPECT_TRUE(bits_equal(c, gemm_oracle(av, bv, values_of(c0), m, n, k,
+                                              bias.data())))
+            << "half combine";
+      }
+    }
   }
 }
 
