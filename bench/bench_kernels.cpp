@@ -227,9 +227,11 @@ void bench_spmm(const BenchConfig& cfg, bench::KernelReport& report) {
   const graph::BlockedCsr reordered_layout =
       graph::build_blocked_csr(plan.apply(norm));
 
+  // 80 (the products-like feature width) has no dual-accumulator body,
+  // so it times the register row accumulator.
   const std::vector<std::int64_t> dims =
       cfg.smoke ? std::vector<std::int64_t>{16}
-                : std::vector<std::int64_t>{16, 32, 64, 128};
+                : std::vector<std::int64_t>{16, 32, 64, 128, 80};
   for (const auto d : dims) {
     const Tensor x = random_tensor({data.num_nodes(), d}, 5);
     Tensor y = Tensor::zeros({data.num_nodes(), d});
@@ -323,12 +325,18 @@ void bench_gat(const BenchConfig& cfg, bench::KernelReport& report) {
   const graph::BlockedCsr layout = graph::build_blocked_csr(g);
   const graph::BlockedCsr layout_t = graph::build_blocked_transpose(g);
   const float slope = 0.2f;
-  const std::int64_t d = 16;
 
-  const std::vector<std::int64_t> head_counts =
-      cfg.smoke ? std::vector<std::int64_t>{4}
-                : std::vector<std::int64_t>{1, 4, 8};
-  for (const auto heads : head_counts) {
+  // (heads, per-head dim): the fixed bodies at d = 16, and one head at
+  // d = 41 (the reddit-like output layer), whose aggregates run the
+  // register row accumulator.
+  struct GatShape {
+    std::int64_t heads, d;
+  };
+  const std::vector<GatShape> gat_shapes =
+      cfg.smoke ? std::vector<GatShape>{{4, 16}}
+                : std::vector<GatShape>{{1, 16}, {4, 16}, {8, 16}, {1, 41}};
+  for (const GatShape& gs : gat_shapes) {
+    const std::int64_t heads = gs.heads, d = gs.d;
     const Tensor h = random_tensor({n, heads * d}, 6);
     const Tensor sd = random_tensor({n, heads}, 7);
     const Tensor ss = random_tensor({n, heads}, 8);
@@ -336,7 +344,8 @@ void bench_gat(const BenchConfig& cfg, bench::KernelReport& report) {
     Tensor out = Tensor::empty({n, heads * d});
     const std::string shape = "n=" + std::to_string(n) +
                               ",nnz=" + std::to_string(e) +
-                              ",heads=" + std::to_string(heads) + ",d=16";
+                              ",heads=" + std::to_string(heads) +
+                              ",d=" + std::to_string(d);
     const double fwd_flops = 2.0 * e * heads * d;
     const double fwd_bytes = static_cast<double>(e) * heads * d *
                              sizeof(float);

@@ -20,15 +20,19 @@ namespace gsoup::ag {
 
 namespace {
 
-// SpMM kernel bodies. Two levers over the naive per-edge loop, each worth
-// measuring (see BENCH_kernels.json):
-//   1. Compile-time feature width D: the naive runtime trip count costs a
-//      vectoriser prologue/epilogue on every edge; common GNN widths get a
-//      dedicated instantiation.
-//   2. Dual accumulators: `y[j] += w*x[j]` per edge is a serial FMA chain
-//      through the row (4-5 cycle latency each). Interleaving even/odd
-//      edges into two register accumulators halves the chain, and the row
-//      is stored once at the end instead of updated per edge.
+// SpMM kernel bodies. Every output row is accumulated in registers and
+// stored once, whatever the feature width; the per-edge read-modify-write
+// of the row is the cost being avoided. Two levers over the naive
+// per-edge loop, each worth measuring (see BENCH_kernels.json):
+//   1. Compile-time feature width: the naive runtime trip count costs a
+//      vectoriser prologue/epilogue on every edge. Widths 8/16/32/64/128
+//      get a dedicated instantiation (spmm_rows_fixed); every other width
+//      runs the register row accumulator (RegRows), a compile-time prefix
+//      plus a 16-column window, which keeps the per-edge summation order.
+//   2. Dual accumulators (fixed widths only): `y[j] += w*x[j]` per edge is
+//      a serial FMA chain through the row (4-5 cycle latency each).
+//      Interleaving even/odd edges into two register accumulators halves
+//      the chain.
 // X rows a few edges ahead are software-prefetched to overlap gather
 // latency. Overwrite=true stores `y = acc` (fused Y = A·X, skips the
 // separate zero pass and Y re-read); false adds into existing Y (backward
@@ -157,28 +161,177 @@ void spmm_rows_fixed(const std::int64_t* __restrict__ indptr,
   }
 }
 
-/// Fallback for feature widths without a fixed instantiation.
-template <bool Overwrite, typename Idx, typename TX, float (*WidenX)(TX)>
-void spmm_rows_generic(const std::int64_t* __restrict__ indptr,
-                       const Idx* __restrict__ indices,
-                       const float* __restrict__ values,
-                       const TX* __restrict__ px, float* __restrict__ py,
-                       std::int64_t d, std::int64_t lo, std::int64_t hi) {
+// Register row accumulator: every width without a dual-accumulator body
+// above. One walk over a row's edges accumulates a compile-time P-column
+// prefix (P a multiple of 16, up to kRegSlab: 128 on AVX-512 builds) and
+// a compile-time T-column window ending at the block's last column, both
+// in registers, and stores the row once. For blocks of 16 or more columns
+// the window is 16 wide and overlaps the prefix whenever the width is not
+// a multiple of 16: the overlapped columns are accumulated twice by the
+// same operations and stored twice with the same value, so the tail of at
+// most 15 columns needs neither a runtime trip count nor a read past the
+// row. Narrower blocks are all window (T = width, P = 0). Wider rows walk
+// kRegSlab-column slabs first (on AVX-512, widths of 144 and up).
+//
+// Order contract: every output element starts from 0 (Overwrite) or from
+// y, then adds w·x once per edge in edge order, contracted to an FMA
+// exactly where the build contracts `y += w * x` (GCC's default
+// -ffp-contract=fast on FMA targets). That is the per-element order of
+// the per-edge read-modify-write loop this accumulator replaced, so every
+// width outside 8/16/32/64/128 keeps its bits; tests/test_kernels.cpp
+// (SpmmContract, GatContract) pins it against an oracle. The
+// dual-accumulator bodies at the fixed widths keep their own order.
+//
+// The accumulator is shared with the runtime-shape GAT paths, which run
+// it once per head over that head's column segment (rows `ld` = heads·d
+// apart) with the head's attention coefficients as edge weights
+// (`pa[e * heads + h]`, or `pa[epos[te] * heads + h]` over a transpose),
+// hence the weight functors.
+struct EdgeWeights {
+  const float* __restrict__ w;
+  float operator()(std::int64_t e) const { return w[e]; }
+};
+
+struct StridedEdgeWeights {
+  const float* __restrict__ w;
+  std::int64_t stride;
+  float operator()(std::int64_t e) const { return w[e * stride]; }
+};
+
+template <typename EposT>
+struct TransposedEdgeWeights {
+  const float* __restrict__ w;
+  const EposT* __restrict__ pos;
+  std::int64_t stride;
+  float operator()(std::int64_t te) const {
+    return w[static_cast<std::int64_t>(pos[te]) * stride];
+  }
+};
+
+/// Widest prefix a block keeps in registers: 8 vectors of the build's
+/// ISA. With the 16-column window that is 9 of AVX-512's 32 registers,
+/// 10 of AVX's 16 and 12 of SSE2's 16, and within GCC's full-unroll limit,
+/// so both accumulator arrays become registers.
+#if defined(__AVX512F__)
+constexpr int kRegSlab = 128;
+#elif defined(__AVX__)
+constexpr int kRegSlab = 64;
+#else
+constexpr int kRegSlab = 32;
+#endif
+
+/// Column block [0, P) ∪ [width - T, width) of rows [lo, hi); `px` and
+/// `py` already point at the block's first column, X and Y rows are `ld`
+/// apart. X rows a few edges ahead are prefetched. Kept out of line: each
+/// (P, T) is one self-contained loop nest, and inlined into the width
+/// dispatch it measured up to 1.5x slower at d = 41/47.
+template <int P, int T, bool Overwrite, typename Idx, typename TX,
+          float (*WidenX)(TX), typename W>
+[[gnu::noinline]] void reg_block_rows(
+    const std::int64_t* __restrict__ indptr, std::int64_t lo,
+    std::int64_t hi, const Idx* __restrict__ indices, const W& weight,
+    const TX* __restrict__ px, float* __restrict__ py, std::int64_t ld,
+    std::int64_t width) {
+  const std::int64_t toff = width - T;
+  const std::int64_t pf_end = indptr[hi];
+  // Every cache line the block reads (width <= P + T).
+  constexpr std::size_t kRowBytes = (P + T) * sizeof(TX);
   for (std::int64_t i = lo; i < hi; ++i) {
-    float* __restrict__ yrow = py + i * d;
+    float* __restrict__ yrow = py + i * ld;
+    float acc[P > 0 ? P : 1], tacc[T];
     if constexpr (Overwrite) {
 #pragma omp simd
-      for (std::int64_t j = 0; j < d; ++j) yrow[j] = 0.0f;
+      for (int j = 0; j < P; ++j) acc[j] = 0.0f;
+#pragma omp simd
+      for (int j = 0; j < T; ++j) tacc[j] = 0.0f;
+    } else {
+#pragma omp simd
+      for (int j = 0; j < P; ++j) acc[j] = yrow[j];
+#pragma omp simd
+      for (int j = 0; j < T; ++j) tacc[j] = yrow[toff + j];
     }
     for (std::int64_t e = indptr[i]; e < indptr[i + 1]; ++e) {
-      const float w = values[e];
+      if (e + kSpmmPrefetchDist < pf_end) {
+        const char* next = reinterpret_cast<const char*>(
+            px + static_cast<std::int64_t>(indices[e + kSpmmPrefetchDist]) *
+                     ld);
+        for (std::size_t b = 0; b < kRowBytes; b += 64) {
+          __builtin_prefetch(next + b, 0, 3);
+        }
+      }
+      const float w = weight(e);
       const TX* __restrict__ xrow =
-          px + static_cast<std::int64_t>(indices[e]) * d;
+          px + static_cast<std::int64_t>(indices[e]) * ld;
 #pragma omp simd
-      for (std::int64_t j = 0; j < d; ++j) yrow[j] += w * WidenX(xrow[j]);
+      for (int j = 0; j < P; ++j) acc[j] += w * WidenX(xrow[j]);
+#pragma omp simd
+      for (int j = 0; j < T; ++j) tacc[j] += w * WidenX(xrow[toff + j]);
     }
+#pragma omp simd
+    for (int j = 0; j < P; ++j) yrow[j] = acc[j];
+#pragma omp simd
+    for (int j = 0; j < T; ++j) yrow[toff + j] = tacc[j];
   }
 }
+
+/// Compile-time (P, T) for a block of 1 to kRegSlab + 15 columns, starting
+/// from <0, 1>: T = min(width, 16), P = width - T rounded up to a multiple
+/// of 16.
+template <int P, int T, typename F>
+void reg_block_dispatch(std::int64_t width, F&& block) {
+  if constexpr (T < 16) {
+    if (width > T) {
+      reg_block_dispatch<0, T + 1>(width, block);
+      return;
+    }
+  } else if constexpr (P < kRegSlab) {
+    if (width > P + 16) {
+      reg_block_dispatch<P + 16, 16>(width, block);
+      return;
+    }
+  }
+  block.template operator()<P, T>();
+}
+
+/// Y[lo:hi] (?)= Σ_e w(e)·X[idx[e]] over `width` columns through the
+/// register accumulator, X and Y rows `ld` apart: kRegSlab-column slabs
+/// while kRegSlab + 16 or more columns remain, then one block for the
+/// rest. The block's (P, T) is dispatched once, at construction, so the
+/// GAT generics, which call row by row, pay it once per chunk.
+template <bool Overwrite, typename Idx, typename TX, float (*WidenX)(TX),
+          typename W>
+class RegRows {
+ public:
+  explicit RegRows(std::int64_t width) : width_(width) {
+    while (width_ - slabs_end_ >= kRegSlab + 16) slabs_end_ += kRegSlab;
+    if (width_ > slabs_end_) {
+      reg_block_dispatch<0, 1>(width_ - slabs_end_, [&]<int P, int T>() {
+        block_ = &reg_block_rows<P, T, Overwrite, Idx, TX, WidenX, W>;
+      });
+    }
+  }
+
+  void operator()(const std::int64_t* indptr, std::int64_t lo,
+                  std::int64_t hi, const Idx* indices, const W& weight,
+                  const TX* px, float* py, std::int64_t ld) const {
+    for (std::int64_t c0 = 0; c0 < slabs_end_; c0 += kRegSlab) {
+      reg_block_rows<kRegSlab - 16, 16, Overwrite, Idx, TX, WidenX>(
+          indptr, lo, hi, indices, weight, px + c0, py + c0, ld, kRegSlab);
+    }
+    if (block_ != nullptr) {
+      block_(indptr, lo, hi, indices, weight, px + slabs_end_,
+             py + slabs_end_, ld, width_ - slabs_end_);
+    }
+  }
+
+ private:
+  using Block = void (*)(const std::int64_t*, std::int64_t, std::int64_t,
+                         const Idx*, const W&, const TX*, float*,
+                         std::int64_t, std::int64_t);
+  std::int64_t width_;
+  std::int64_t slabs_end_ = 0;
+  Block block_ = nullptr;
+};
 
 template <bool Overwrite, typename Idx, typename TX, float (*WidenX)(TX)>
 void spmm_rows(const std::int64_t* __restrict__ indptr,
@@ -209,8 +362,8 @@ void spmm_rows(const std::int64_t* __restrict__ indptr,
           indptr, indices, values, px, py, num_edges, lo, hi);
       return;
     default:
-      spmm_rows_generic<Overwrite, Idx, TX, WidenX>(indptr, indices, values,
-                                                    px, py, d, lo, hi);
+      RegRows<Overwrite, Idx, TX, WidenX, EdgeWeights>{d}(
+          indptr, lo, hi, indices, EdgeWeights{values}, px, py, d);
   }
 }
 
@@ -318,7 +471,9 @@ void spmm_blocked_dispatch(const graph::BlockedCsr& a, const Tensor& x,
 // expensive instruction here, so the usual online-softmax rescale (which
 // re-exponentiates in the second pass) loses more than the saved
 // max-walk gains. The aggregate inner loop is
-// width-specialised on the per-head dim d like spmm_rows.
+// width-specialised on the per-head dim d like spmm_rows; the
+// runtime-shape generics finish the exp walk first and then aggregate
+// each head through the SpMM register row accumulator.
 //
 // Per-row softmax state lives in fixed stack arrays of kGatHeadTile
 // lanes; rows with more heads than that run multiple tiles (each tile
@@ -415,10 +570,14 @@ void gat_forward_rows(const std::int64_t* __restrict__ indptr,
   }
 }
 
-/// Runtime-shape fallback (uncommon head counts or per-head dims): same
-/// pass structure, head-tiled so per-row softmax state stays in fixed
-/// stack arrays, aggregate accumulated in the output row directly.
-template <typename Idx>
+/// Runtime-shape fallback for the forward and infer passes (uncommon
+/// head counts or per-head dims): the fixed bodies' pass structure,
+/// head-tiled so per-row softmax state stays in fixed stack arrays. Each
+/// head's aggregate runs through the register row accumulator with
+/// weights p[e * heads + h]. `Alpha` (training) then rescales the stored
+/// p's into the normalised coefficients; inference leaves them in its
+/// scratch.
+template <bool Alpha, typename Idx>
 void gat_forward_rows_generic(const std::int64_t* __restrict__ indptr,
                               const Idx* __restrict__ indices,
                               const float* __restrict__ sl,
@@ -428,12 +587,11 @@ void gat_forward_rows_generic(const std::int64_t* __restrict__ indptr,
                               std::int64_t heads, std::int64_t d, float slope,
                               std::int64_t lo, std::int64_t hi) {
   const std::int64_t hd = heads * d;
+  const RegRows<true, Idx, float, spmm_widen_f32, StridedEdgeWeights>
+      aggregate(d);
   for (std::int64_t i = lo; i < hi; ++i) {
     const std::int64_t begin = indptr[i], end = indptr[i + 1];
     const float* __restrict__ sli = sl + i * heads;
-    float* __restrict__ orow = po + i * hd;
-#pragma omp simd
-    for (std::int64_t j = 0; j < hd; ++j) orow[j] = 0.0f;
     for (std::int64_t hb = 0; hb < heads; hb += kGatHeadTile) {
       const std::int64_t hw = std::min(kGatHeadTile, heads - hb);
       float mx[kGatHeadTile];
@@ -453,32 +611,30 @@ void gat_forward_rows_generic(const std::int64_t* __restrict__ indptr,
         }
       }
       for (std::int64_t e = begin; e < end; ++e) {
-        const float* __restrict__ hrow =
-            ph + static_cast<std::int64_t>(indices[e]) * hd + hb * d;
         float* __restrict__ ae = pa + e * heads + hb;
         for (std::int64_t h = 0; h < hw; ++h) {
           const float p = std::exp(ae[h] - mx[h]);
           ae[h] = p;
           denom[h] += p;
-          const float* __restrict__ hseg = hrow + h * d;
-          float* __restrict__ oseg = orow + (hb + h) * d;
-#pragma omp simd
-          for (std::int64_t j = 0; j < d; ++j) oseg[j] += p * hseg[j];
         }
       }
       float inv[kGatHeadTile];
       for (std::int64_t h = 0; h < hw; ++h) {
+        const std::int64_t off = (hb + h) * d;
+        aggregate(indptr, i, i + 1, indices,
+                  StridedEdgeWeights{pa + hb + h, heads}, ph + off, po + off,
+                  hd);
         inv[h] = denom[h] > 0.0f ? 1.0f / denom[h] : 0.0f;
-      }
-      for (std::int64_t h = 0; h < hw; ++h) {
-        float* __restrict__ oseg = orow + (hb + h) * d;
+        float* __restrict__ oseg = po + i * hd + off;
         const float s = inv[h];
 #pragma omp simd
         for (std::int64_t j = 0; j < d; ++j) oseg[j] *= s;
       }
-      for (std::int64_t e = begin; e < end; ++e) {
-        float* __restrict__ ae = pa + e * heads + hb;
-        for (std::int64_t h = 0; h < hw; ++h) ae[h] *= inv[h];
+      if constexpr (Alpha) {
+        for (std::int64_t e = begin; e < end; ++e) {
+          float* __restrict__ ae = pa + e * heads + hb;
+          for (std::int64_t h = 0; h < hw; ++h) ae[h] *= inv[h];
+        }
       }
     }
   }
@@ -559,66 +715,6 @@ void gat_infer_rows(const std::int64_t* __restrict__ indptr,
       const float inv = denom[h] > 0.0f ? 1.0f / denom[h] : 0.0f;
 #pragma omp simd
       for (int j = 0; j < D; ++j) orow[h * D + j] = acc[h * D + j] * inv;
-    }
-  }
-}
-
-/// Runtime-shape infer fallback, head-tiled like the training generic;
-/// same structure minus the alpha-normalisation walk.
-template <typename Idx>
-void gat_infer_rows_generic(const std::int64_t* __restrict__ indptr,
-                            const Idx* __restrict__ indices,
-                            const float* __restrict__ sl,
-                            const float* __restrict__ sr,
-                            const float* __restrict__ ph,
-                            float* __restrict__ pa, float* __restrict__ po,
-                            std::int64_t heads, std::int64_t d, float slope,
-                            std::int64_t lo, std::int64_t hi) {
-  const std::int64_t hd = heads * d;
-  for (std::int64_t i = lo; i < hi; ++i) {
-    const std::int64_t begin = indptr[i], end = indptr[i + 1];
-    const float* __restrict__ sli = sl + i * heads;
-    float* __restrict__ orow = po + i * hd;
-#pragma omp simd
-    for (std::int64_t j = 0; j < hd; ++j) orow[j] = 0.0f;
-    for (std::int64_t hb = 0; hb < heads; hb += kGatHeadTile) {
-      const std::int64_t hw = std::min(kGatHeadTile, heads - hb);
-      float mx[kGatHeadTile];
-      float denom[kGatHeadTile] = {};
-      for (std::int64_t h = 0; h < hw; ++h) {
-        mx[h] = -std::numeric_limits<float>::infinity();
-      }
-      for (std::int64_t e = begin; e < end; ++e) {
-        const float* __restrict__ srj =
-            sr + static_cast<std::int64_t>(indices[e]) * heads + hb;
-        float* __restrict__ ae = pa + e * heads + hb;
-        for (std::int64_t h = 0; h < hw; ++h) {
-          const float z = sli[hb + h] + srj[h];
-          const float act = std::max(z, slope * z);
-          ae[h] = act;
-          mx[h] = std::max(mx[h], act);
-        }
-      }
-      for (std::int64_t e = begin; e < end; ++e) {
-        const float* __restrict__ hrow =
-            ph + static_cast<std::int64_t>(indices[e]) * hd + hb * d;
-        float* __restrict__ ae = pa + e * heads + hb;
-        for (std::int64_t h = 0; h < hw; ++h) {
-          const float p = std::exp(ae[h] - mx[h]);
-          ae[h] = p;
-          denom[h] += p;
-          const float* __restrict__ hseg = hrow + h * d;
-          float* __restrict__ oseg = orow + (hb + h) * d;
-#pragma omp simd
-          for (std::int64_t j = 0; j < d; ++j) oseg[j] += p * hseg[j];
-        }
-      }
-      for (std::int64_t h = 0; h < hw; ++h) {
-        float* __restrict__ oseg = orow + (hb + h) * d;
-        const float s = denom[h] > 0.0f ? 1.0f / denom[h] : 0.0f;
-#pragma omp simd
-        for (std::int64_t j = 0; j < d; ++j) oseg[j] *= s;
-      }
     }
   }
 }
@@ -793,7 +889,10 @@ void gat_backward_src_rows(const std::int64_t* __restrict__ t_indptr,
   }
 }
 
-/// Runtime-shape fallback for backward pass 2.
+/// Runtime-shape fallback for backward pass 2: dscore_src first, then
+/// each head's dH through the register row accumulator over the
+/// transpose (weights alpha[epos[te] * heads + h]); per element, both add
+/// in transposed-edge order as the fixed body does.
 template <typename IdxT, typename EposT>
 void gat_backward_src_rows_generic(
     const std::int64_t* __restrict__ t_indptr,
@@ -802,31 +901,25 @@ void gat_backward_src_rows_generic(
     const float* __restrict__ pdz, float* __restrict__ phg,
     float* __restrict__ psrg, std::int64_t heads, std::int64_t d,
     std::int64_t lo, std::int64_t hi) {
-  const std::int64_t hd = heads * d;
-  for (std::int64_t j = lo; j < hi; ++j) {
-    const std::int64_t begin = t_indptr[j], end = t_indptr[j + 1];
-    float* __restrict__ hgrow = phg != nullptr ? phg + j * hd : nullptr;
-    for (std::int64_t te = begin; te < end; ++te) {
-      const auto i = static_cast<std::int64_t>(t_indices[te]);
-      const auto e = static_cast<std::int64_t>(epos[te]);
-      if (psrg != nullptr) {
-        const float* __restrict__ dze = pdz + e * heads;
-        float* __restrict__ srow = psrg + j * heads;
+  if (psrg != nullptr) {
+    for (std::int64_t j = lo; j < hi; ++j) {
+      float* __restrict__ srow = psrg + j * heads;
+      for (std::int64_t te = t_indptr[j]; te < t_indptr[j + 1]; ++te) {
+        const float* __restrict__ dze =
+            pdz + static_cast<std::int64_t>(epos[te]) * heads;
         for (std::int64_t h = 0; h < heads; ++h) srow[h] += dze[h];
       }
-      if (hgrow != nullptr) {
-        const float* __restrict__ grow = grad_out + i * hd;
-        const float* __restrict__ ae = pa + e * heads;
-        for (std::int64_t h = 0; h < heads; ++h) {
-          const float a = ae[h];
-          const float* __restrict__ gseg = grow + h * d;
-          float* __restrict__ hseg = hgrow + h * d;
-#pragma omp simd
-          for (std::int64_t j2 = 0; j2 < d; ++j2) {
-            hseg[j2] += a * gseg[j2];
-          }
-        }
-      }
+    }
+  }
+  if (phg != nullptr) {
+    const std::int64_t hd = heads * d;
+    const RegRows<false, IdxT, float, spmm_widen_f32,
+                  TransposedEdgeWeights<EposT>>
+        gather(d);
+    for (std::int64_t h = 0; h < heads; ++h) {
+      gather(t_indptr, lo, hi, t_indices,
+             TransposedEdgeWeights<EposT>{pa + h, epos, heads},
+             grad_out + h * d, phg + h * d, hd);
     }
   }
 }
@@ -873,8 +966,8 @@ void run_gat_forward(const std::int64_t* indptr, const Idx* indices,
                                lo, hi);
       },
       [&] {
-        gat_forward_rows_generic(indptr, indices, sl, sr, ph, pa, po, heads,
-                                 d, slope, lo, hi);
+        gat_forward_rows_generic<true>(indptr, indices, sl, sr, ph, pa, po,
+                                       heads, d, slope, lo, hi);
       });
 }
 
@@ -890,8 +983,8 @@ void run_gat_infer(const std::int64_t* indptr, const Idx* indices,
                              hi);
       },
       [&] {
-        gat_infer_rows_generic(indptr, indices, sl, sr, ph, pa, po, heads, d,
-                               slope, lo, hi);
+        gat_forward_rows_generic<false>(indptr, indices, sl, sr, ph, pa, po,
+                                        heads, d, slope, lo, hi);
       });
 }
 

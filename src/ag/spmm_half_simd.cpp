@@ -141,9 +141,10 @@ void rows_fixed(const std::int64_t* __restrict__ indptr,
   }
 }
 
-/// Width-generic fallback, mirroring spmm_rows_generic: accumulate
-/// straight into the output row, vector main loop + scalar tail (each
-/// element still sees the identical per-edge operation sequence).
+/// Width-generic fallback in the order of graph_ops.cpp's register row
+/// accumulator (each element starts from 0 or y and adds w·x per edge in
+/// edge order), but accumulating straight into the output row: vector
+/// main loop + scalar tail, one read-modify-write of the row per edge.
 template <Precision P, bool Overwrite, typename Idx>
 void rows_generic(const std::int64_t* __restrict__ indptr,
                   const Idx* __restrict__ indices,

@@ -56,9 +56,10 @@ struct GatShape {
 
 /// Shapes covering the specialised kernels (heads 1/2/4/8 × d 8/16/...),
 /// the runtime fallback (heads 3, d 5: neither specialised), head counts
-/// that do not divide the SIMD width, and the >16-head tiling path.
-const GatShape kShapes[] = {{1, 16}, {2, 8},  {4, 16},
-                            {8, 4},  {3, 5},  {18, 3}};
+/// that do not divide the SIMD width, the >16-head tiling path, and a
+/// single head at a width with no fixed body (a GAT output layer).
+const GatShape kShapes[] = {{1, 16}, {2, 8}, {4, 16}, {8, 4},
+                            {3, 5},  {18, 3}, {1, 41}};
 
 struct GatOperands {
   Tensor h, sd, ss;

@@ -2,9 +2,11 @@
 // against their naive references on randomized shapes, including the
 // degenerate cases (empty matrices, empty rows, single-node graphs) and
 // shapes that exercise every edge-tile path of the blocked GEMM.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "ag/ops.hpp"
 #include "ag/value.hpp"
 #include "graph/csr.hpp"
+#include "graph/locality.hpp"
 #include "tensor/half.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
@@ -483,8 +486,9 @@ Tensor spmm_dense_reference(const Csr& a, const Tensor& x) {
 }
 
 TEST(Kernels, SpmmVariantsMatchReferenceAcrossWidths) {
-  // Widths cover every fixed specialisation (8/16/32/64/128), the generic
-  // fallback (1/3/40/72) and the sub-vector case.
+  // Widths cover every fixed dual-accumulator body (8/16/32/64/128) and the
+  // register row accumulator's window-only (1/3) and prefix-plus-window
+  // (40/72) blocks.
   const Csr g = random_csr(311, 6.0, 77);
   for (const std::int64_t d : {1, 3, 8, 16, 32, 40, 64, 72, 128}) {
     const Tensor x = random_tensor({g.num_nodes, d}, 700 + d);
@@ -556,6 +560,354 @@ TEST(Kernels, AgSpmmForwardBackwardMatchesReference) {
   Tensor ones = Tensor::full({g.num_nodes, 32}, 1.0f);
   const Tensor expected_grad = spmm_dense_reference(gt.graph, ones);
   EXPECT_LE(ops::max_abs_diff(x->grad, expected_grad), 1e-3f);
+}
+
+
+// ---- SpMM and GAT summation-order contracts ------------------------------
+//
+// Every width without a fixed dual-accumulator body (8/16/32/64/128) runs
+// the register row accumulator, whose contract is the per-edge order: each
+// output element starts from 0 (overwrite) or from y (accumulate) and adds
+// w·x once per edge in edge order, with the build's FMA contraction. The
+// oracles below spell that order out, so a kernel rewrite that reorders,
+// splits or re-contracts any element's sum fails here bit for bit.
+
+/// Widths on both sides of every 16-column boundary, the window-only
+/// blocks (< 16), a multiple of 16 with no fixed body (96), the widest
+/// single block (143) and the 128-column slabs (144, 200).
+const std::vector<std::int64_t>& spmm_contract_widths() {
+  static const std::vector<std::int64_t> widths = {
+      1, 3, 7, 15, 17, 41, 47, 63, 65, 80, 96, 100, 127, 143, 144, 200};
+  return widths;
+}
+
+/// Y (?)= A·X in the contract's order, starting from `y`.
+std::vector<float> spmm_oracle(const Csr& a, const std::vector<float>& x,
+                               std::vector<float> y, std::int64_t d) {
+  for (std::int64_t i = 0; i < a.num_nodes; ++i) {
+    for (std::int64_t j = 0; j < d; ++j) {
+      float acc = y[i * d + j];
+      for (std::int64_t e = a.indptr[i]; e < a.indptr[i + 1]; ++e) {
+        acc = madd(acc, a.values[e], x[a.indices[e] * d + j]);
+      }
+      y[i * d + j] = acc;
+    }
+  }
+  return y;
+}
+
+TEST(SpmmContract, OverwriteAndAccumulateMatchOracleBitwise) {
+  // 15% empty rows and 3% hub rows (120 edges against a mean of ~6), so
+  // the edge-balanced split cuts across hubs at 2 and 4 threads.
+  const Csr g = random_csr(400, 6.0, 91);
+  const graph::BlockedCsr narrow = graph::build_blocked_csr(g);
+  const graph::BlockedCsr wide =
+      graph::build_blocked_csr(g, /*force_wide=*/true);
+  ASSERT_TRUE(narrow.narrow());
+  ASSERT_FALSE(wide.narrow());
+  const std::int64_t n = g.num_nodes;
+  for (const std::int64_t d : spmm_contract_widths()) {
+    SCOPED_TRACE(::testing::Message() << "d=" << d);
+    const Tensor x = random_tensor({n, d}, 900 + d);
+    const Tensor y0 = random_tensor({n, d}, 950 + d);
+    const std::vector<float> xv = values_of(x);
+    const std::vector<float> want_ow = spmm_oracle(
+        g, xv, std::vector<float>(static_cast<std::size_t>(n * d), 0.0f), d);
+    const std::vector<float> want_acc = spmm_oracle(g, xv, values_of(y0), d);
+
+    // Overwrite must define every element, empty rows included: poison.
+    const float poison = std::numeric_limits<float>::quiet_NaN();
+    Tensor y = Tensor::full({n, d}, poison);
+    ag::spmm_overwrite(g, x, y);
+    EXPECT_TRUE(bits_equal(y, want_ow)) << "csr overwrite";
+    y = Tensor::full({n, d}, poison);
+    ag::spmm_spans_overwrite(g.indptr, g.indices, g.values, x, y);
+    EXPECT_TRUE(bits_equal(y, want_ow)) << "span overwrite";
+    for (const graph::BlockedCsr* layout : {&narrow, &wide}) {
+      const char* idx = layout->narrow() ? "16-bit" : "32-bit";
+      y = Tensor::full({n, d}, poison);
+      ag::spmm_blocked_overwrite(*layout, x, y);
+      EXPECT_TRUE(bits_equal(y, want_ow)) << idx << " layout overwrite";
+      y = y0.clone();
+      ag::spmm_blocked_accumulate(*layout, x, y);
+      EXPECT_TRUE(bits_equal(y, want_acc)) << idx << " layout accumulate";
+    }
+    y = y0.clone();
+    ag::spmm_accumulate(g, x, y);
+    EXPECT_TRUE(bits_equal(y, want_acc)) << "csr accumulate";
+  }
+}
+
+TEST(SpmmContract, HalfStoredXMatchesOracleOverWidenedXBitwise) {
+  const Csr g = random_csr(300, 5.0, 92);
+  const graph::BlockedCsr narrow = graph::build_blocked_csr(g);
+  const graph::BlockedCsr wide =
+      graph::build_blocked_csr(g, /*force_wide=*/true);
+  const std::int64_t n = g.num_nodes;
+  for (const Precision p : {Precision::kFp16, Precision::kBf16}) {
+    for (const std::int64_t d : spmm_contract_widths()) {
+      SCOPED_TRACE(::testing::Message() << precision_name(p) << " d=" << d);
+      const HalfBuffer hx =
+          HalfBuffer::quantize(random_tensor({n, d}, 980 + d), p);
+      const std::vector<float> want = spmm_oracle(
+          g, values_of(hx.widen()),
+          std::vector<float>(static_cast<std::size_t>(n * d), 0.0f), d);
+      Tensor y = Tensor::full({n, d}, std::numeric_limits<float>::quiet_NaN());
+      ag::spmm_spans_overwrite(g.indptr, g.indices, g.values, hx, y);
+      EXPECT_TRUE(bits_equal(y, want)) << "span";
+      for (const graph::BlockedCsr* layout : {&narrow, &wide}) {
+        y = Tensor::full({n, d}, std::numeric_limits<float>::quiet_NaN());
+        ag::spmm_blocked_overwrite(*layout, hx, y);
+        EXPECT_TRUE(bits_equal(y, want))
+            << (layout->narrow() ? "16-bit" : "32-bit") << " layout";
+      }
+    }
+  }
+}
+
+/// GAT forward in the contract's order, head by head: LeakyReLU as
+/// max(z, slope·z), the running max, p = exp(act − max) with the
+/// denominator summed in edge order, the aggregate Σ p·H[src] in edge
+/// order from 0, then scaled by 1/denominator; alpha = p·(1/denominator).
+struct GatForwardOracle {
+  std::vector<float> out, alpha;
+};
+
+GatForwardOracle gat_forward_oracle(const Csr& g, const Tensor& h,
+                                    const Tensor& sl, const Tensor& sr,
+                                    float slope) {
+  const std::int64_t n = g.num_nodes, heads = sl.shape(1);
+  const std::int64_t hd = h.shape(1), d = hd / heads;
+  GatForwardOracle o;
+  o.out.assign(static_cast<std::size_t>(n * hd), 0.0f);
+  o.alpha.assign(g.indices.size() * static_cast<std::size_t>(heads), 0.0f);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t begin = g.indptr[i], end = g.indptr[i + 1];
+    for (std::int64_t k = 0; k < heads; ++k) {
+      float* a = o.alpha.data() + k;
+      float mx = -std::numeric_limits<float>::infinity();
+      for (std::int64_t e = begin; e < end; ++e) {
+        const float z = sl.at(i, k) + sr.at(g.indices[e], k);
+        a[e * heads] = std::max(z, slope * z);
+        mx = std::max(mx, a[e * heads]);
+      }
+      float denom = 0.0f;
+      for (std::int64_t e = begin; e < end; ++e) {
+        a[e * heads] = std::exp(a[e * heads] - mx);
+        denom += a[e * heads];
+      }
+      const float inv = denom > 0.0f ? 1.0f / denom : 0.0f;
+      for (std::int64_t j = k * d; j < (k + 1) * d; ++j) {
+        float acc = 0.0f;
+        for (std::int64_t e = begin; e < end; ++e) {
+          acc = madd(acc, a[e * heads], h.at(g.indices[e], j));
+        }
+        o.out[i * hd + j] = acc * inv;
+      }
+      for (std::int64_t e = begin; e < end; ++e) a[e * heads] *= inv;
+    }
+  }
+  return o;
+}
+
+/// A transpose walk for the backward oracle: row j lists (destination,
+/// forward edge position) pairs in the order the kernel visits them.
+struct TransposeWalk {
+  std::vector<std::int64_t> indptr, dst, epos;
+};
+
+TransposeWalk walk_of(const CsrTranspose& gt) {
+  TransposeWalk w{gt.graph.indptr, {}, {}};
+  for (std::size_t te = 0; te < gt.graph.indices.size(); ++te) {
+    w.dst.push_back(gt.graph.indices[te]);
+    w.epos.push_back(gt.edge_map[te]);
+  }
+  return w;
+}
+
+TransposeWalk walk_of(const graph::BlockedCsr& t) {
+  TransposeWalk w{t.indptr, {}, {}};
+  for (std::int64_t te = 0; te < t.num_edges(); ++te) {
+    w.dst.push_back(t.narrow() ? t.idx16[te] : t.idx32[te]);
+    w.epos.push_back(t.epos[te]);
+  }
+  return w;
+}
+
+/// GAT backward in the contract's order, head by head, accumulating into
+/// dh / dsl / dsr. Pass 1's dot products are reductions whose lane order
+/// is the vectoriser's, so the test feeds integer-valued H and dOut that
+/// make every dot exact; everything downstream of them is pinned: inner =
+/// Σ alpha·dot and dscore_dst in destination-edge order, dscore_src and
+/// dH = Σ alpha·dOut[dst] in the transpose's order.
+void gat_backward_oracle(const Csr& g, const TransposeWalk& t,
+                         const Tensor& h, const Tensor& sl, const Tensor& sr,
+                         const std::vector<float>& alpha, const Tensor& grad,
+                         float slope, std::vector<float>& dh,
+                         std::vector<float>& dsl, std::vector<float>& dsr) {
+  const std::int64_t n = g.num_nodes, heads = sl.shape(1);
+  const std::int64_t hd = h.shape(1), d = hd / heads;
+  std::vector<float> dz(alpha.size(), 0.0f);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t begin = g.indptr[i], end = g.indptr[i + 1];
+    for (std::int64_t k = 0; k < heads; ++k) {
+      float inner = 0.0f;
+      for (std::int64_t e = begin; e < end; ++e) {
+        double dot = 0.0;
+        for (std::int64_t j = k * d; j < (k + 1) * d; ++j) {
+          dot += static_cast<double>(grad.at(i, j)) * h.at(g.indices[e], j);
+        }
+        dz[e * heads + k] = static_cast<float>(dot);
+        inner = madd(inner, alpha[e * heads + k], dz[e * heads + k]);
+      }
+      float dsl_acc = 0.0f;
+      for (std::int64_t e = begin; e < end; ++e) {
+        const float de = alpha[e * heads + k] * (dz[e * heads + k] - inner);
+        const float z = sl.at(i, k) + sr.at(g.indices[e], k);
+        dz[e * heads + k] = de * (z > 0.0f ? 1.0f : slope);
+        dsl_acc += dz[e * heads + k];
+      }
+      dsl[i * heads + k] += dsl_acc;
+    }
+  }
+  for (std::int64_t j = 0; j < n; ++j) {
+    for (std::int64_t k = 0; k < heads; ++k) {
+      for (std::int64_t te = t.indptr[j]; te < t.indptr[j + 1]; ++te) {
+        dsr[j * heads + k] += dz[t.epos[te] * heads + k];
+      }
+    }
+    for (std::int64_t c = 0; c < hd; ++c) {
+      const std::int64_t k = c / d;
+      float acc = dh[j * hd + c];
+      for (std::int64_t te = t.indptr[j]; te < t.indptr[j + 1]; ++te) {
+        acc = madd(acc, alpha[t.epos[te] * heads + k], grad.at(t.dst[te], c));
+      }
+      dh[j * hd + c] = acc;
+    }
+  }
+}
+
+/// Integer-valued [rows, cols] tensor in [-3, 3].
+Tensor small_integer_tensor(std::int64_t rows, std::int64_t cols,
+                            std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor t = Tensor::empty({rows, cols});
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    t.at(i) = std::floor(static_cast<float>(rng.uniform() * 7.0)) - 3.0f;
+  }
+  return t;
+}
+
+/// Shapes without a fixed attention body: one head at output-layer
+/// widths, and several heads (3 × 41 and 2 × 24 in one head tile, 18 × 3
+/// over two), whose aggregates run the register accumulator per head.
+struct GatContractShape {
+  std::int64_t heads, d;
+};
+
+const std::vector<GatContractShape>& gat_contract_shapes() {
+  static const std::vector<GatContractShape> shapes = {
+      {1, 41}, {1, 47}, {1, 80}, {3, 41}, {2, 24}, {18, 3}};
+  return shapes;
+}
+
+TEST(GatContract, ForwardAndInferMatchOracleBitwise) {
+  const Csr g = random_csr(350, 6.0, 93);
+  const graph::BlockedCsr narrow = graph::build_blocked_csr(g);
+  const graph::BlockedCsr wide =
+      graph::build_blocked_csr(g, /*force_wide=*/true);
+  const std::int64_t n = g.num_nodes, e = g.num_edges();
+  const float slope = 0.2f;
+  for (const auto [heads, d] : gat_contract_shapes()) {
+    SCOPED_TRACE(::testing::Message() << "heads=" << heads << " d=" << d);
+    const Tensor sl = random_tensor({n, heads}, 94 + heads);
+    const Tensor sr = random_tensor({n, heads}, 95 + heads);
+    const Tensor h = random_tensor({n, heads * d}, 960 + heads * d);
+    const GatForwardOracle want = gat_forward_oracle(g, h, sl, sr, slope);
+    const float poison = std::numeric_limits<float>::quiet_NaN();
+
+    Tensor alpha = Tensor::full({e, heads}, poison);
+    Tensor out = Tensor::full({n, heads * d}, poison);
+    ag::gat_attention_forward(g.indptr, g.indices, h, sl, sr, heads, slope,
+                              alpha, out);
+    EXPECT_TRUE(bits_equal(out, want.out)) << "span forward";
+    EXPECT_TRUE(bits_equal(alpha, want.alpha)) << "span alpha";
+    out = Tensor::full({n, heads * d}, poison);
+    ag::gat_attention_infer(g.indptr, g.indices, h, sl, sr, heads, slope,
+                            out);
+    EXPECT_TRUE(bits_equal(out, want.out)) << "span infer";
+    for (const graph::BlockedCsr* layout : {&narrow, &wide}) {
+      const char* idx = layout->narrow() ? "16-bit" : "32-bit";
+      alpha = Tensor::full({e, heads}, poison);
+      out = Tensor::full({n, heads * d}, poison);
+      ag::gat_attention_forward(*layout, h, sl, sr, heads, slope, alpha,
+                                out);
+      EXPECT_TRUE(bits_equal(out, want.out)) << idx << " layout forward";
+      EXPECT_TRUE(bits_equal(alpha, want.alpha)) << idx << " layout alpha";
+      out = Tensor::full({n, heads * d}, poison);
+      ag::gat_attention_infer(*layout, h, sl, sr, heads, slope, out);
+      EXPECT_TRUE(bits_equal(out, want.out)) << idx << " layout infer";
+    }
+  }
+}
+
+TEST(GatContract, BackwardMatchesOracleBitwise) {
+  const Csr g = random_csr(350, 6.0, 97);
+  const CsrTranspose gt = g.transpose();
+  const graph::BlockedCsr narrow = graph::build_blocked_csr(g);
+  const graph::BlockedCsr narrow_t = graph::build_blocked_transpose(g);
+  const graph::BlockedCsr wide =
+      graph::build_blocked_csr(g, /*force_wide=*/true);
+  const graph::BlockedCsr wide_t =
+      graph::build_blocked_transpose(g, /*force_wide=*/true);
+  ASSERT_TRUE(narrow_t.narrow());
+  ASSERT_FALSE(wide_t.narrow());
+  const std::int64_t n = g.num_nodes, e = g.num_edges();
+  const float slope = 0.2f;
+  for (const auto [heads, d] : gat_contract_shapes()) {
+    SCOPED_TRACE(::testing::Message() << "heads=" << heads << " d=" << d);
+    const std::int64_t hd = heads * d;
+    const Tensor sl = random_tensor({n, heads}, 98 + heads);
+    const Tensor sr = random_tensor({n, heads}, 99 + heads);
+    const Tensor h = small_integer_tensor(n, hd, 970 + hd);
+    const Tensor grad = small_integer_tensor(n, hd, 975 + hd);
+    Tensor alpha = Tensor::empty({e, heads});
+    Tensor out = Tensor::empty({n, hd});
+    ag::gat_attention_forward(g.indptr, g.indices, h, sl, sr, heads, slope,
+                              alpha, out);
+    const std::vector<float> av = values_of(alpha);
+    // Gradients accumulate into non-zero buffers, as on the tape.
+    const Tensor dh0 = random_tensor({n, hd}, 985 + hd);
+    const Tensor dsl0 = random_tensor({n, heads}, 986 + hd);
+    const Tensor dsr0 = random_tensor({n, heads}, 987 + hd);
+
+    const auto check = [&](const TransposeWalk& walk, const char* what,
+                           const auto& run) {
+      std::vector<float> want_dh = values_of(dh0), want_dsl = values_of(dsl0),
+                         want_dsr = values_of(dsr0);
+      gat_backward_oracle(g, walk, h, sl, sr, av, grad, slope, want_dh,
+                          want_dsl, want_dsr);
+      Tensor dh = dh0.clone(), dsl = dsl0.clone(), dsr = dsr0.clone();
+      run(dh, dsl, dsr);
+      EXPECT_TRUE(bits_equal(dh, want_dh)) << what << " dH";
+      EXPECT_TRUE(bits_equal(dsl, want_dsl)) << what << " dscore_dst";
+      EXPECT_TRUE(bits_equal(dsr, want_dsr)) << what << " dscore_src";
+    };
+    check(walk_of(gt), "span", [&](Tensor& dh, Tensor& dsl, Tensor& dsr) {
+      ag::gat_attention_backward(g.indptr, g.indices, gt, h, sl, sr, alpha,
+                                 grad, heads, slope, &dh, &dsl, &dsr);
+    });
+    check(walk_of(narrow_t), "16-bit layout",
+          [&](Tensor& dh, Tensor& dsl, Tensor& dsr) {
+            ag::gat_attention_backward(narrow, narrow_t, h, sl, sr, alpha,
+                                       grad, heads, slope, &dh, &dsl, &dsr);
+          });
+    check(walk_of(wide_t), "32-bit layout",
+          [&](Tensor& dh, Tensor& dsl, Tensor& dsr) {
+            ag::gat_attention_backward(wide, wide_t, h, sl, sr, alpha, grad,
+                                       heads, slope, &dh, &dsl, &dsr);
+          });
+  }
 }
 
 }  // namespace
