@@ -1,10 +1,8 @@
 #include "tensor/half.hpp"
 
-#include <new>
 #include <sstream>
 
 #include "util/check.hpp"
-#include "util/memory_tracker.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define GSOUP_HALF_F16C_DISPATCH 1
@@ -129,19 +127,7 @@ void quantize(const float* src, std::uint16_t* dst, std::int64_t n,
 
 }  // namespace half
 
-HalfBuffer::TrackedStorage::TrackedStorage(std::size_t b)
-    : ptr(static_cast<std::uint16_t*>(
-          ::operator new(b, std::align_val_t(kTensorAlignment)))),
-      bytes(b) {
-  MemoryTracker::record_alloc(bytes);
-}
-
-HalfBuffer::TrackedStorage::~TrackedStorage() {
-  ::operator delete(ptr, std::align_val_t(kTensorAlignment));
-  MemoryTracker::record_free(bytes);
-}
-
-HalfBuffer::HalfBuffer(std::shared_ptr<TrackedStorage> storage, Shape shape,
+HalfBuffer::HalfBuffer(std::shared_ptr<StorageBlock> storage, Shape shape,
                        Precision precision)
     : storage_(std::move(storage)),
       shape_(std::move(shape)),
@@ -154,7 +140,7 @@ HalfBuffer HalfBuffer::empty(Shape shape, Precision precision) {
                   "HalfBuffer stores 16-bit elements; asked for "
                       << precision_name(precision));
   const std::int64_t numel = shape_numel(shape);
-  auto storage = std::make_shared<TrackedStorage>(
+  auto storage = std::make_shared<StorageBlock>(
       static_cast<std::size_t>(numel) * 2);
   return HalfBuffer(std::move(storage), std::move(shape), precision);
 }
@@ -185,12 +171,12 @@ std::string HalfBuffer::shape_str() const {
 
 std::uint16_t* HalfBuffer::data() {
   GSOUP_CHECK_MSG(defined(), "data() on undefined HalfBuffer");
-  return storage_->ptr;
+  return static_cast<std::uint16_t*>(storage_->data());
 }
 
 const std::uint16_t* HalfBuffer::data() const {
   GSOUP_CHECK_MSG(defined(), "data() on undefined HalfBuffer");
-  return storage_->ptr;
+  return static_cast<std::uint16_t*>(storage_->data());
 }
 
 void HalfBuffer::quantize_from(const Tensor& src) {

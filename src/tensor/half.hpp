@@ -192,19 +192,10 @@ class HalfBuffer {
   }
 
  private:
-  struct TrackedStorage {
-    explicit TrackedStorage(std::size_t bytes);
-    ~TrackedStorage();
-    TrackedStorage(const TrackedStorage&) = delete;
-    TrackedStorage& operator=(const TrackedStorage&) = delete;
-    std::uint16_t* ptr = nullptr;
-    std::size_t bytes = 0;
-  };
-
-  HalfBuffer(std::shared_ptr<TrackedStorage> storage, Shape shape,
+  HalfBuffer(std::shared_ptr<StorageBlock> storage, Shape shape,
              Precision precision);
 
-  std::shared_ptr<TrackedStorage> storage_;
+  std::shared_ptr<StorageBlock> storage_;
   Shape shape_;
   std::int64_t numel_ = 0;
   Precision precision_ = Precision::kFp16;

@@ -5,10 +5,10 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <new>
 
 #include "tensor/gemm_micro.hpp"
 #include "tensor/gemm_micro_avx2.hpp"
+#include "tensor/storage.hpp"
 
 namespace gsoup::ops {
 
@@ -44,19 +44,6 @@ void check_matmul(const Tensor& a, const Tensor& b, std::int64_t ak,
   GSOUP_CHECK_MSG(ak == bk, "matmul inner-dimension mismatch: "
                                 << a.shape_str() << " vs " << b.shape_str());
 }
-
-/// 64-byte-aligned scratch (packed GEMM panels). Not tracked by
-/// MemoryTracker: lifetime is a single kernel invocation.
-struct AlignedBuffer {
-  explicit AlignedBuffer(std::int64_t count)
-      : ptr(static_cast<float*>(::operator new(
-            static_cast<std::size_t>(count) * sizeof(float),
-            std::align_val_t(kTensorAlignment)))) {}
-  ~AlignedBuffer() { ::operator delete(ptr, std::align_val_t(kTensorAlignment)); }
-  AlignedBuffer(const AlignedBuffer&) = delete;
-  AlignedBuffer& operator=(const AlignedBuffer&) = delete;
-  float* ptr;
-};
 
 /// Identity "widen" for fp32-stored A elements (the template's base case).
 inline float widen_f32(float x) { return x; }
@@ -238,8 +225,11 @@ void gemm_blocked_acc_t(std::int64_t m, std::int64_t n, std::int64_t k,
                                nullptr);
     }
   };
-  AlignedBuffer panel(kKC * kNC);
-  float* __restrict__ bp = panel.ptr;
+  // Packed-panel scratch: pooled like tensor storage, not tracked by
+  // MemoryTracker (its lifetime is this call).
+  const StorageBlock panel(kKC * kNC * sizeof(float),
+                           StorageBlock::Accounting::kUntracked);
+  float* __restrict__ bp = static_cast<float*>(panel.data());
   for (std::int64_t jc = 0; jc < n; jc += kNC) {
     const std::int64_t nc = std::min(kNC, n - jc);
     const std::int64_t ncp = padded_width(nc);

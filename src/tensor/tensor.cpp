@@ -2,28 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <new>
 #include <sstream>
-
-#include "util/memory_tracker.hpp"
 
 namespace gsoup {
 
-Tensor::TrackedStorage::TrackedStorage(std::size_t nbytes) : bytes(nbytes) {
-  if (bytes == 0) return;
-  ptr = static_cast<float*>(
-      ::operator new(bytes, std::align_val_t(kTensorAlignment)));
-  MemoryTracker::record_alloc(bytes);
-}
-
-Tensor::TrackedStorage::~TrackedStorage() {
-  if (ptr != nullptr) {
-    ::operator delete(ptr, std::align_val_t(kTensorAlignment));
-    MemoryTracker::record_free(bytes);
-  }
-}
-
-Tensor::Tensor(std::shared_ptr<TrackedStorage> storage, Shape shape)
+Tensor::Tensor(std::shared_ptr<StorageBlock> storage, Shape shape)
     : storage_(std::move(storage)),
       shape_(std::move(shape)),
       numel_(shape_numel(shape_)) {}
@@ -44,7 +27,7 @@ bool same_shape(const Tensor& a, const Tensor& b) {
 Tensor Tensor::empty(Shape shape) {
   const std::int64_t n = shape_numel(shape);
   auto storage =
-      std::make_shared<TrackedStorage>(static_cast<std::size_t>(n) * 4);
+      std::make_shared<StorageBlock>(static_cast<std::size_t>(n) * 4);
   return Tensor(std::move(storage), std::move(shape));
 }
 
@@ -110,12 +93,12 @@ std::string Tensor::shape_str() const {
 
 float* Tensor::data() {
   GSOUP_CHECK_MSG(defined(), "accessing undefined tensor");
-  return storage_->ptr;
+  return static_cast<float*>(storage_->data());
 }
 
 const float* Tensor::data() const {
   GSOUP_CHECK_MSG(defined(), "accessing undefined tensor");
-  return storage_->ptr;
+  return static_cast<float*>(storage_->data());
 }
 
 std::span<float> Tensor::span() {

@@ -3,8 +3,10 @@
 // The library's numeric workhorse. Semantics follow the PyTorch model the
 // paper's reference implementation uses: copying a Tensor is a cheap
 // shallow copy sharing storage; `clone()` makes an independent deep copy.
-// All storage is reported to MemoryTracker so souping strategies can be
-// compared on peak resident bytes (Fig. 4b).
+// Storage is a StorageBlock drawn from the process-wide block pool
+// (tensor/storage.hpp); every block reports its requested bytes to
+// MemoryTracker so souping strategies can be compared on peak resident
+// bytes (Fig. 4b).
 #pragma once
 
 #include <cstdint>
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "tensor/storage.hpp"
 #include "util/check.hpp"
 
 namespace gsoup {
@@ -94,19 +97,9 @@ class Tensor {
   }
 
  private:
-  // Storage frees through MemoryTracker on destruction.
-  struct TrackedStorage {
-    explicit TrackedStorage(std::size_t bytes);
-    ~TrackedStorage();
-    TrackedStorage(const TrackedStorage&) = delete;
-    TrackedStorage& operator=(const TrackedStorage&) = delete;
-    float* ptr = nullptr;
-    std::size_t bytes = 0;
-  };
+  Tensor(std::shared_ptr<StorageBlock> storage, Shape shape);
 
-  Tensor(std::shared_ptr<TrackedStorage> storage, Shape shape);
-
-  std::shared_ptr<TrackedStorage> storage_;
+  std::shared_ptr<StorageBlock> storage_;
   Shape shape_;
   std::int64_t numel_ = 0;
 };

@@ -259,6 +259,17 @@ TEST(HalfBufferTest, QuantizeWidenRoundTripAndSharing) {
   }
 }
 
+TEST(HalfBufferTest, EmptyBufferRecordsNoAllocation) {
+  const std::uint64_t allocs = MemoryTracker::alloc_count();
+  const std::size_t live = MemoryTracker::current();
+  const HalfBuffer hb = HalfBuffer::empty({0}, Precision::kFp16);
+  EXPECT_TRUE(hb.defined());
+  EXPECT_EQ(hb.numel(), 0);
+  EXPECT_EQ(hb.bytes(), 0u);
+  EXPECT_EQ(MemoryTracker::alloc_count(), allocs);
+  EXPECT_EQ(MemoryTracker::current(), live);
+}
+
 // ---- Kernel oracle parity (bit-exact) ------------------------------------
 
 TEST(HalfKernels, GatherRowsMatchesWidenedOracle) {

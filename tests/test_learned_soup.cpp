@@ -1,6 +1,11 @@
 // Learned Souping (Alg. 3) and Partition Learned Souping (Alg. 4) tests:
 // optimisation behaviour, ingredient re-weighting, partition-ratio
-// semantics and determinism.
+// semantics, determinism, and bitwise repeats from a warm storage pool.
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/learned.hpp"
@@ -9,6 +14,7 @@
 #include "graph/generator.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/storage.hpp"
 #include "train/ingredient_farm.hpp"
 #include "train/metrics.hpp"
 
@@ -291,6 +297,101 @@ TEST_F(LearnedSoupFixture, PlsPartitioningIsValBalanced) {
   for (const auto c : counts) {
     EXPECT_GT(c, 0) << "every partition should carry validation nodes";
   }
+}
+
+// The second LS and PLS runs take every tape block from a pool full of
+// stale data (the first runs' tapes, topped with NaN-filled blocks of every
+// class the tapes use), where the first runs drew fresh, zeroed pages. Code
+// that reads Tensor::empty storage before writing it would change a loss,
+// a soup bit or a peak here. The graph is large enough that the tape's
+// [N, d] tensors are pooled (64 KiB and more).
+TEST(LearnedSoupWarmPool, LsAndPlsRepeatBitwiseFromAWarmPool) {
+  SyntheticSpec spec;
+  spec.num_nodes = 5000;
+  spec.num_classes = 4;
+  spec.avg_degree = 8;
+  spec.homophily = 0.75;
+  spec.feature_dim = 16;
+  spec.feature_noise = 0.9;
+  spec.seed = 23;
+  const Dataset data = generate_dataset(spec);
+
+  ModelConfig mcfg;
+  mcfg.arch = Arch::kSage;
+  mcfg.in_dim = data.feature_dim();
+  mcfg.hidden_dim = 16;
+  mcfg.out_dim = data.num_classes;
+  mcfg.dropout = 0.3f;
+  const GnnModel model(mcfg);
+  const GraphContext ctx(data.graph, Arch::kSage);
+
+  FarmConfig farm;
+  farm.num_ingredients = 3;
+  farm.num_workers = 2;
+  farm.train.epochs = 6;
+  farm.train.seed = 4;
+  farm.init_seed = 12;
+  const FarmResult ingredients = train_ingredients(model, ctx, data, farm);
+  const SoupContext sctx{model, ctx, data, ingredients.ingredients};
+
+  LearnedSoupConfig ls_cfg;
+  ls_cfg.epochs = 6;
+  ls_cfg.seed = 5;
+  PlsConfig pls_cfg;
+  pls_cfg.base = ls_cfg;
+  pls_cfg.num_parts = 8;
+  pls_cfg.budget = 2;
+
+  struct Run {
+    SoupReport report;
+    std::vector<double> losses;
+  };
+  auto run_ls = [&] {
+    LearnedSouper souper(ls_cfg);
+    SoupReport report = run_souper(souper, sctx);
+    return Run{std::move(report), souper.loss_history()};
+  };
+  auto run_pls = [&] {
+    PartitionLearnedSouper souper(data, pls_cfg);
+    SoupReport report = run_souper(souper, sctx);
+    return Run{std::move(report), souper.loss_history()};
+  };
+
+  storage_pool::drain();
+  const Run ls_cold = run_ls();
+  const Run pls_cold = run_pls();
+
+  // Park a NaN-filled block of every class from 64 KiB to 1 MiB on top of
+  // the stale tapes, so the warm runs pop garbage first.
+  {
+    std::vector<Tensor> scribble;
+    for (std::size_t b = storage_pool::kMinPooledBytes; b <= (1u << 20);
+         b = storage_pool::class_bytes(b + 1)) {
+      scribble.push_back(Tensor::full({static_cast<std::int64_t>(b / 4)},
+                                      std::numeric_limits<float>::quiet_NaN()));
+    }
+  }
+  ASSERT_GT(storage_pool::pooled_bytes(), 0u);
+  const Run ls_warm = run_ls();
+  const Run pls_warm = run_pls();
+
+  auto expect_same = [](const Run& cold, const Run& warm, const char* what) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(cold.losses, warm.losses);
+    EXPECT_EQ(cold.report.mix_peak_bytes, warm.report.mix_peak_bytes);
+    EXPECT_EQ(cold.report.val_acc, warm.report.val_acc);
+    ASSERT_EQ(cold.report.soup.entries().size(),
+              warm.report.soup.entries().size());
+    for (const auto& e : cold.report.soup.entries()) {
+      const Tensor& w = warm.report.soup.get(e.name);
+      ASSERT_EQ(w.numel(), e.tensor.numel()) << e.name;
+      EXPECT_EQ(std::memcmp(w.data(), e.tensor.data(), w.bytes()), 0)
+          << e.name;
+    }
+    for (const double loss : warm.losses) EXPECT_TRUE(std::isfinite(loss));
+  };
+  expect_same(ls_cold, ls_warm, "LS");
+  expect_same(pls_cold, pls_warm, "PLS");
 }
 
 }  // namespace

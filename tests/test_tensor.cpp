@@ -1,11 +1,17 @@
-// Tensor semantics and dense-kernel correctness against naive references,
-// including parameterised size sweeps for the OpenMP kernels.
+// Tensor semantics, the recycled storage pool, and dense-kernel correctness
+// against naive references, including parameterised size sweeps for the
+// OpenMP kernels.
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/half.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/storage.hpp"
 #include "tensor/tensor.hpp"
 #include "util/memory_tracker.hpp"
 #include "util/rng.hpp"
@@ -85,6 +91,201 @@ TEST(MemoryScope, MeasuresPeakAboveEntry) {
   }
   EXPECT_GE(scope.peak_above_entry(), 1024u * 16 * 4);
   EXPECT_LT(scope.peak_above_entry(), 1024u * 16 * 4 + 4096);
+}
+
+TEST(Tensor, EmptyTensorRecordsNoAllocation) {
+  const std::uint64_t allocs = MemoryTracker::alloc_count();
+  const Tensor t = Tensor::empty({0, 5});
+  EXPECT_TRUE(t.defined());
+  EXPECT_EQ(t.numel(), 0);
+  EXPECT_EQ(MemoryTracker::alloc_count(), allocs);
+}
+
+// ---- Storage pool ----------------------------------------------------------
+
+bool pool_within_bound() {
+  return storage_pool::pooled_bytes() + storage_pool::live_bytes() <=
+         storage_pool::high_water_bytes();
+}
+
+TEST(TensorPool, SizeClassesRoundUpByLessThanAnEighth) {
+  EXPECT_EQ(storage_pool::class_bytes(1000), 1000u);  // below the pool
+  EXPECT_EQ(storage_pool::class_bytes(65536), 65536u);
+  EXPECT_EQ(storage_pool::class_bytes(65537), 73728u);
+  EXPECT_EQ(storage_pool::class_bytes(131071), 131072u);
+  EXPECT_EQ(storage_pool::class_bytes(131072), 131072u);
+  for (std::size_t b = storage_pool::kMinPooledBytes; b < (std::size_t{1} << 30);
+       b = b * 9 / 8 + 7) {
+    const std::size_t c = storage_pool::class_bytes(b);
+    EXPECT_GE(c, b);
+    EXPECT_LT((c - b) * 8, b) << b;
+    EXPECT_EQ(c % kTensorAlignment, 0u) << b;
+    EXPECT_EQ(storage_pool::class_bytes(c), c) << b;
+  }
+}
+
+TEST(TensorPool, ReleasedBlockIsHandedToNextRequestOfItsClass) {
+  storage_pool::drain();
+  // 131,072 and 130,072 bytes share the 128 KiB class.
+  Tensor a = Tensor::empty({32768});
+  const float* block = a.data();
+  a = Tensor();
+  EXPECT_EQ(storage_pool::pooled_bytes(), 131072u);
+  Tensor b = Tensor::empty({32518});
+  EXPECT_EQ(b.data(), block);
+  EXPECT_EQ(storage_pool::pooled_bytes(), 0u);
+  // HalfBuffer storage draws from the same pool.
+  const void* b_block = b.data();
+  b = Tensor();
+  const HalfBuffer h = HalfBuffer::empty({65536}, Precision::kFp16);
+  EXPECT_EQ(static_cast<const void*>(h.data()), b_block);
+}
+
+TEST(TensorPool, ReusedBlockIs64ByteAligned) {
+  storage_pool::drain();
+  for (const std::int64_t n : {16387, 20001, 100003, 700001, 1048575}) {
+    Tensor a = Tensor::empty({n});
+    const float* block = a.data();
+    a = Tensor();
+    const Tensor b = Tensor::empty({n - 1});
+    EXPECT_EQ(b.data(), block) << n;
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % kTensorAlignment,
+              0u)
+        << n;
+  }
+}
+
+// With the pool full (parked + in use = the all-time high-water mark), a
+// request whose class is empty takes the smallest larger parked block, and
+// one larger than every parked block evicts to make room.
+TEST(TensorPool, FullPoolBorrowsLargerBlockBeforeEvicting) {
+  storage_pool::drain();
+  std::vector<Tensor> fill;
+  while (storage_pool::live_bytes() < storage_pool::high_water_bytes() ||
+         fill.size() < 4) {
+    fill.push_back(Tensor::empty({(1 << 20) / 4}));  // 1 MiB class
+  }
+  const std::size_t high_water = storage_pool::high_water_bytes();
+  std::vector<const float*> blocks;
+  for (const Tensor& t : fill) blocks.push_back(t.data());
+  fill.clear();
+  ASSERT_EQ(storage_pool::pooled_bytes() + storage_pool::live_bytes(),
+            high_water);
+
+  // 200 KB: its class is empty, a fresh block would pass the bound.
+  const Tensor borrowed = Tensor::empty({50000});
+  EXPECT_EQ(borrowed.data(), blocks.back());  // LIFO: the last released
+  EXPECT_EQ(storage_pool::high_water_bytes(), high_water);
+  EXPECT_EQ(storage_pool::pooled_bytes() + storage_pool::live_bytes(),
+            high_water);
+
+  // 2 MiB: larger than every parked block, so two 1 MiB blocks go.
+  const std::size_t pooled = storage_pool::pooled_bytes();
+  const Tensor fresh = Tensor::empty({(2 << 20) / 4});
+  EXPECT_EQ(storage_pool::high_water_bytes(), high_water);
+  EXPECT_EQ(storage_pool::pooled_bytes(), pooled - (2u << 20));
+  EXPECT_TRUE(pool_within_bound());
+}
+
+TEST(TensorPool, PooledPlusLiveNeverPassesHighWater) {
+  Rng rng(7);
+  std::vector<Tensor> tensors;
+  std::vector<HalfBuffer> halves;
+  ASSERT_TRUE(pool_within_bound());
+  for (int i = 0; i < 3000; ++i) {
+    const double u = rng.uniform();
+    // Sizes log-uniform over 256 B .. 4 MiB, crossing the 64 KiB floor.
+    const auto n = static_cast<std::int64_t>(
+        std::exp2(6.0 + 14.0 * rng.uniform()));
+    if (u < 0.35 && !tensors.empty()) {
+      tensors.erase(tensors.begin() +
+                    static_cast<std::ptrdiff_t>(rng.uniform_int(tensors.size())));
+    } else if (u < 0.45 && !halves.empty()) {
+      halves.erase(halves.begin() +
+                   static_cast<std::ptrdiff_t>(rng.uniform_int(halves.size())));
+    } else if (u < 0.85) {
+      if (tensors.size() < 16) tensors.push_back(Tensor::empty({n}));
+    } else if (halves.size() < 8) {
+      halves.push_back(HalfBuffer::empty({n}, Precision::kBf16));
+    }
+    if (i % 500 == 250) {
+      tensors.clear();  // a tape teardown: many releases at once
+    }
+    ASSERT_TRUE(pool_within_bound()) << "step " << i;
+  }
+  tensors.clear();
+  halves.clear();
+  EXPECT_TRUE(pool_within_bound());
+}
+
+/// A small tape-like sequence: the peak and allocation count it records
+/// must not depend on where its blocks come from.
+std::pair<std::size_t, std::uint64_t> tape_like_sequence() {
+  const std::uint64_t allocs = MemoryTracker::alloc_count();
+  PeakMemoryScope scope;
+  {
+    Tensor x = Tensor::empty({4000, 80});
+    Tensor h = Tensor::empty({4000, 64});
+    const HalfBuffer q = HalfBuffer::empty({4000, 33}, Precision::kFp16);
+    Tensor small = Tensor::empty({100});
+    x = Tensor();
+    Tensor logits = Tensor::empty({4000, 47});
+    Tensor grad = Tensor::empty({4000, 64});
+    h = Tensor();
+    Tensor g2 = Tensor::empty({3999, 47});
+  }
+  return {scope.peak_above_entry(), MemoryTracker::alloc_count() - allocs};
+}
+
+TEST(TensorPool, PeakMemoryScopeReadsTheSameColdOrWarm) {
+  storage_pool::drain();
+  const auto cold = tape_like_sequence();
+  EXPECT_GT(storage_pool::pooled_bytes(), 0u);
+  const auto warm = tape_like_sequence();
+  EXPECT_EQ(cold.first, warm.first);
+  EXPECT_EQ(cold.second, warm.second);
+  // Requested bytes, not class capacities: h, q, small, logits and grad
+  // are live at the peak.
+  EXPECT_EQ(cold.first,
+            (4000u * 64 + 100 + 4000u * 47 + 4000u * 64) * 4 + 4000u * 33 * 2);
+}
+
+// Farm workers and serving workers allocate and free tensor storage from
+// many threads at once; the pool's one mutex must keep the stacks and the
+// byte counts consistent (a TSan target).
+TEST(TensorPool, ConcurrentAcquireReleaseBalances) {
+  const std::size_t base = MemoryTracker::current();
+  const std::size_t base_live = storage_pool::live_bytes();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([t] {
+      Rng rng(100 + static_cast<std::uint64_t>(t));
+      std::vector<Tensor> held;
+      for (int i = 0; i < 600; ++i) {
+        // 1 KiB .. 2 MiB: glibc-served and pooled classes alike.
+        const auto n = static_cast<std::int64_t>(
+            std::exp2(8.0 + 11.0 * rng.uniform()));
+        Tensor x = Tensor::empty({n});
+        x.data()[0] = static_cast<float>(i);
+        x.data()[n - 1] = static_cast<float>(t);
+        held.push_back(std::move(x));
+        if (i % 7 == 3) {
+          const StorageBlock scratch(
+              static_cast<std::size_t>(n) * 4,
+              StorageBlock::Accounting::kUntracked);
+          static_cast<float*>(scratch.data())[n - 1] = 1.0f;
+        }
+        if (held.size() > 5) {
+          held.erase(held.begin() +
+                     static_cast<std::ptrdiff_t>(rng.uniform_int(held.size())));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(MemoryTracker::current(), base);
+  EXPECT_EQ(storage_pool::live_bytes(), base_live);
+  EXPECT_TRUE(pool_within_bound());
 }
 
 // ---- Kernel correctness vs naive references -------------------------------
