@@ -12,7 +12,7 @@
 
 #include "ag/value.hpp"
 #include "graph/csr.hpp"
-#include "graph/sampling.hpp"
+#include "graph/block.hpp"
 #include "tensor/half.hpp"
 
 namespace gsoup::graph {
@@ -226,8 +226,8 @@ Value gat_attention(const Csr& graph, const CsrTranspose& graph_t,
                     const graph::BlockedCsr* layout,
                     const graph::BlockedCsr* layout_t);
 
-/// Bipartite-block SpMM for minibatch training: Y[i] = Σ_e w_e X[src_e]
-/// over a sampled Block. X rows are block-local (size block.num_src()).
+/// Bipartite-block SpMM: Y[i] = Σ_e w_e X[src_e] over a Block, sampled
+/// or an exact field. X rows are block-local (size block.num_src()).
 /// The backward dX = Bᵀ·dY runs as a race-free edge-balanced SpMM gather
 /// over the block's cached graph::BlockedCsr transpose instead of the
 /// seed's every-thread-walks-every-edge scatter. Blocks sampled with

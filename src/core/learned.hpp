@@ -7,6 +7,8 @@
 // exhaustive ratio search with O(e·(F_v + B_v)).
 #pragma once
 
+#include <functional>
+
 #include "core/alpha.hpp"
 #include "core/soup.hpp"
 #include "train/optimizer.hpp"
@@ -38,12 +40,12 @@ struct LearnedSoupConfig {
   double prune_threshold = 0.0;
 };
 
-class LearnedSouper final : public Souper {
+/// The learned-souping alpha loop (Alg. 3), written once for LS and PLS:
+/// alpha logits, the optimiser under a cosine schedule, ingredient
+/// drop-out and the keep-best probe. The two methods differ only in the
+/// (graph, dataset) each epoch's validation loss runs on.
+class AlphaLoopSouper : public Souper {
  public:
-  explicit LearnedSouper(LearnedSoupConfig config = {});
-  std::string name() const override { return "LS"; }
-  ParamStore mix(const SoupContext& sctx) override;
-
   /// Validation-loss trajectory of the last mix() (diagnostics/tests).
   const std::vector<double>& loss_history() const { return loss_history_; }
   /// Final per-group ingredient weights of the last mix().
@@ -54,11 +56,33 @@ class LearnedSouper final : public Souper {
   /// during the last mix().
   std::int64_t pruned_entries() const { return pruned_entries_; }
 
+ protected:
+  explicit AlphaLoopSouper(LearnedSoupConfig config);
+
+  /// One epoch's forward, loss, backward and step over a field.
+  using EpochBody = std::function<void(const GraphContext&, const Dataset&)>;
+  /// Calls the body once on the field this epoch's loss runs on; the
+  /// field must outlive the call. `rng` is the loop's stream, already
+  /// past the alpha initialisation.
+  using EpochField = std::function<void(Rng& rng, const EpochBody& body)>;
+
+  /// Runs config.epochs epochs, each over the field `field` hands it;
+  /// returns the learned soup.
+  ParamStore learn(const SoupContext& sctx, const EpochField& field);
+
  private:
   LearnedSoupConfig config_;
   std::vector<double> loss_history_;
   std::vector<std::vector<float>> final_weights_;
   std::int64_t pruned_entries_ = 0;
+};
+
+/// LS: every epoch's loss runs on the full graph.
+class LearnedSouper final : public AlphaLoopSouper {
+ public:
+  explicit LearnedSouper(LearnedSoupConfig config = {});
+  std::string name() const override { return "LS"; }
+  ParamStore mix(const SoupContext& sctx) override;
 };
 
 }  // namespace gsoup

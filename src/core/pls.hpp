@@ -16,26 +16,24 @@
 
 namespace gsoup {
 
-enum class PartitionAlgo { kMultilevel, kLdg, kRandom };
-
 struct PlsConfig {
   LearnedSoupConfig base;
   std::int64_t num_parts = 32;  ///< K
   std::int64_t budget = 8;      ///< R partitions per epoch
-  PartitionAlgo algo = PartitionAlgo::kMultilevel;
-  double epsilon = 0.1;         ///< partitioner balance slack
 };
 
-class PartitionLearnedSouper final : public Souper {
+/// PLS: LS whose every epoch runs on a freshly drawn union of R of the K
+/// partitions.
+class PartitionLearnedSouper final : public AlphaLoopSouper {
  public:
-  /// Partitions `data.graph` (validation-balanced) as preprocessing.
+  /// Partitions `data.graph` (multilevel, validation-balanced) as
+  /// preprocessing.
   PartitionLearnedSouper(const Dataset& data, PlsConfig config);
 
   std::string name() const override { return "PLS"; }
   ParamStore mix(const SoupContext& sctx) override;
 
   const Partitioning& partitioning() const { return parts_; }
-  const std::vector<double>& loss_history() const { return loss_history_; }
   /// Mean subgraph size (fraction of nodes) over the last mix()'s epochs.
   double mean_subgraph_fraction() const { return mean_subgraph_fraction_; }
 
@@ -43,14 +41,7 @@ class PartitionLearnedSouper final : public Souper {
   PlsConfig config_;
   Partitioning parts_;
   std::int64_t source_nodes_ = 0;  ///< guards against dataset mix-ups
-  std::vector<double> loss_history_;
   double mean_subgraph_fraction_ = 0.0;
 };
-
-/// Shared helper: run the partitioner selected by `algo`.
-Partitioning run_partitioner(const Csr& graph, PartitionAlgo algo,
-                             std::int64_t num_parts, double epsilon,
-                             std::span<const std::uint8_t> val_mask,
-                             std::uint64_t seed);
 
 }  // namespace gsoup

@@ -535,7 +535,7 @@ const Tensor& Executor::run_subgraph(const SubgraphPlan& sp,
   // The input rows are gathered at storage width (a half plan copies
   // 16-bit rows — half the gather traffic); the first layer's kernels
   // read them like any other activation slab.
-  const SubgraphLayer& input = sp.layers.front();
+  const Block& input = sp.layers.front();
   Act h = act_slabs<Act>()[0].view_prefix(
       {input.num_src(), plan_.config().in_dim});
   {
@@ -543,7 +543,7 @@ const Tensor& Executor::run_subgraph(const SubgraphPlan& sp,
     ops::gather_rows_into(features, input.src_nodes, h);
   }
   for (std::size_t l = 0; l < plan_.steps().size(); ++l) {
-    const SubgraphLayer& P = sp.layers[l];
+    const Block& P = sp.layers[l];
     subgraph_out_ = run_layer(plan_.steps()[l], step_params_[l], P.indptr,
                               P.indices, P.values, h, P.num_dst, nullptr,
                               nullptr, nullptr);

@@ -2,8 +2,8 @@
 //
 //  - train       records the autograd tape (ingredient training, learned
 //                souping);
-//  - minibatch   tape over sampled bipartite blocks (GraphSAGE), the
-//                block transposes having been built at sample time;
+//  - minibatch   tape over bipartite Blocks (GraphSAGE): sampled, their
+//                transposes built at sample time, or an exact field;
 //  - infer       autograd-free, into workspaces declared by the plan and
 //                allocated once at Executor construction — the serving
 //                hot path and every split evaluation (SplitEvaluator
@@ -32,7 +32,7 @@
 #include "ag/value.hpp"
 #include "exec/layer_plan.hpp"
 #include "exec/subgraph.hpp"
-#include "graph/sampling.hpp"
+#include "graph/block.hpp"
 #include "nn/param.hpp"
 #include "util/rng.hpp"
 
@@ -80,8 +80,9 @@ ag::Value run_train(const LayerPlan& plan, const ag::Value& features,
 ag::Value run_train(const LayerPlan& plan, const ag::Value& features,
                     const TapeBindings& bindings, bool training, Rng* rng);
 
-/// Minibatch mode: tape forward over sampled blocks (GraphSAGE only) —
-/// features are rows for blocks[0].src_nodes, output rows are the seeds.
+/// Minibatch mode: tape forward over Blocks (GraphSAGE only), sampled or
+/// an exact field (SubgraphPlan::layers) — features are rows for
+/// blocks[0].src_nodes, output rows are the last block's destinations.
 /// Blocks sampled with `BlockTranspose::kBuild` carry their cached
 /// backward transpose, so the block_spmm forward pays no build.
 ag::Value run_train_blocks(const ModelConfig& config,

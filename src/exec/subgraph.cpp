@@ -35,7 +35,7 @@ void SubgraphPlanBuilder::build(const Csr& g,
 
   // Destination set of the output layer: the (deduplicated) query nodes.
   out.seed_row.clear();
-  SubgraphLayer& top = out.layers[static_cast<std::size_t>(num_layers_ - 1)];
+  Block& top = out.layers[static_cast<std::size_t>(num_layers_ - 1)];
   top.src_nodes.clear();
   ++epoch_;
   for (const std::int64_t node : nodes) {
@@ -55,10 +55,9 @@ void SubgraphPlanBuilder::build(const Csr& g,
   // each layer pulling in the full (unsampled) in-neighbourhood so the
   // computation is exact — GAT's edge softmax sees every in-edge.
   for (std::int64_t l = num_layers_ - 1; l >= 0; --l) {
-    SubgraphLayer& P = out.layers[static_cast<std::size_t>(l)];
+    Block& P = out.layers[static_cast<std::size_t>(l)];
     if (l < num_layers_ - 1) {
-      const SubgraphLayer& above =
-          out.layers[static_cast<std::size_t>(l + 1)];
+      const Block& above = out.layers[static_cast<std::size_t>(l + 1)];
       P.src_nodes.assign(above.src_nodes.begin(), above.src_nodes.end());
       ++epoch_;
       for (std::size_t i = 0; i < P.src_nodes.size(); ++i) {

@@ -2,11 +2,11 @@
 //
 // A query over a handful of nodes does not need a full-graph pass: the
 // plan expands the queried nodes' complete L-hop in-neighbourhood into one
-// bipartite block-local CSR per layer (destinations a prefix of sources,
-// the sampling layer's convention) carrying the architecture's message
-// weights, and `exec::Executor::run_subgraph` runs the compiled layer
-// stack over just those rows. Exact for all three architectures — GAT's
-// edge softmax sees every in-edge of every destination.
+// bipartite Block per layer (the type neighbour sampling fills) carrying
+// the architecture's message weights, and `exec::Executor::run_subgraph`
+// runs the compiled layer stack over just those rows. Exact for all three
+// architectures — GAT's edge softmax sees every in-edge of every
+// destination.
 //
 // Two usage patterns:
 //  - `SubgraphPlanBuilder` + a caller-owned `SubgraphPlan` whose vectors
@@ -21,31 +21,19 @@
 #include <span>
 #include <vector>
 
+#include "graph/block.hpp"
 #include "graph/csr.hpp"
 
 namespace gsoup::exec {
 
-/// One bipartite layer of the expansion. Destination nodes are a prefix
-/// of source nodes; `indices` are positions into this layer's own
-/// src_nodes list.
-struct SubgraphLayer {
-  std::vector<std::int64_t> src_nodes;
-  std::int64_t num_dst = 0;
-  std::vector<std::int64_t> indptr;
-  std::vector<std::int32_t> indices;
-  std::vector<float> values;  ///< empty for GAT (weights are learned)
-
-  std::int64_t num_src() const {
-    return static_cast<std::int64_t>(src_nodes.size());
-  }
-};
-
 /// The full expansion for one query batch: layers[0] is the input layer
 /// (widest), layers[L-1] the output layer whose destinations are the
-/// deduplicated query nodes. `seed_row[i]` maps query slot i to its
-/// destination row in the final layer (duplicates share a row).
+/// deduplicated query nodes. Each layer's `indices` are positions into its
+/// own src_nodes, and its `transpose` stays null. `seed_row[i]` maps query
+/// slot i to its destination row in the final layer (duplicates share a
+/// row).
 struct SubgraphPlan {
-  std::vector<SubgraphLayer> layers;
+  std::vector<Block> layers;
   std::vector<std::int64_t> seed_row;
 
   std::int64_t num_queries() const {

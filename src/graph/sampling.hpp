@@ -1,50 +1,17 @@
 // GraphSAGE-style neighbour sampling (Hamilton et al.), used by the
-// minibatch ingredient trainer. Produces one bipartite "block" per GNN
-// layer, innermost (input) layer first, following the DGL convention the
-// paper's reference implementation uses: a block's destination nodes are a
-// prefix of its source nodes, so layer outputs can be narrowed in place.
+// minibatch ingredient trainer. Produces one bipartite Block per GNN
+// layer, innermost (input) layer first.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
+#include "graph/block.hpp"
 #include "graph/csr.hpp"
 #include "util/rng.hpp"
 
 namespace gsoup {
-
-namespace graph {
-struct BlockedCsr;
-}
-
-/// One bipartite message-passing layer.
-struct Block {
-  /// Global node ids feeding this layer. The first `num_dst` entries are
-  /// exactly the destination nodes (in the same order).
-  std::vector<std::int64_t> src_nodes;
-  std::int64_t num_dst = 0;
-  /// In-edge CSR over local ids: for dst i (< num_dst), sampled neighbour
-  /// positions into src_nodes.
-  std::vector<std::int64_t> indptr;
-  std::vector<std::int32_t> indices;
-  /// Mean-aggregation weights (1 / sampled-degree per dst).
-  std::vector<float> values;
-  /// Cached BlockedCsr transpose for the block_spmm backward gather
-  /// (dX = Bᵀ·dY), built at sample time when the caller asked for it
-  /// (BlockTranspose::kBuild) so the training forward pays no build.
-  /// Null for inference-only or externally constructed blocks —
-  /// ag::block_spmm falls back to building it on first grad-recorded use.
-  std::shared_ptr<const graph::BlockedCsr> transpose;
-
-  std::int64_t num_src() const {
-    return static_cast<std::int64_t>(src_nodes.size());
-  }
-  std::int64_t num_edges() const {
-    return static_cast<std::int64_t>(indices.size());
-  }
-};
 
 /// Whether sample_blocks should also build each block's cached backward
 /// transpose (one parallel task per layer, overlapping the layers'

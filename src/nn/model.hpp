@@ -54,10 +54,12 @@ class GnnModel {
                     const ParamMap& params, bool training = false,
                     Rng* rng = nullptr) const;
 
-  /// Minibatch forward over sampled blocks (GraphSAGE only): features are
-  /// rows for blocks[0].src_nodes; output rows are the seeds. Delegates
-  /// to exec::run_train_blocks; sample with BlockTranspose::kBuild so the
-  /// block_spmm backward transposes are prebuilt.
+  /// Forward over a Block stack (GraphSAGE only), sampled or an exact
+  /// field such as SplitEvaluator::field().layers: features are rows for
+  /// blocks[0].src_nodes; output rows are the last block's destinations.
+  /// Delegates to exec::run_train_blocks; sample with
+  /// BlockTranspose::kBuild so the block_spmm backward transposes are
+  /// prebuilt.
   ag::Value forward_blocks(std::span<const Block> blocks,
                            const ag::Value& features, const ParamMap& params,
                            bool training = false, Rng* rng = nullptr) const;

@@ -19,8 +19,8 @@ struct MinibatchConfig {
 };
 
 /// Train with neighbour-sampled minibatches. GraphSAGE models only (the
-/// paper's minibatch runs use SAGE-style sampling). Validation evaluation
-/// between epochs is full-graph.
+/// paper's minibatch runs use SAGE-style sampling). The val probes between
+/// epochs are TrainLoop's, exact over the val nodes' receptive field.
 TrainResult train_minibatch(const GnnModel& model, const GraphContext& ctx,
                             const Dataset& data, ParamStore& params,
                             const MinibatchConfig& config);

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "graph/dataset.hpp"
@@ -12,6 +14,7 @@
 #include "nn/param.hpp"
 #include "train/optimizer.hpp"
 #include "train/scheduler.hpp"
+#include "util/timer.hpp"
 
 namespace gsoup {
 
@@ -35,6 +38,39 @@ struct TrainResult {
   std::int64_t best_epoch = -1;
   std::int64_t epochs_run = 0;
   double seconds = 0.0;
+};
+
+class SplitEvaluator;
+
+/// The loop both ingredient trainers share: autodiff leaves over `params`
+/// and their optimizer, the per-epoch LR schedule, the val probe with its
+/// keep-best and patience bookkeeping, and the final restore. A trainer
+/// supplies only the epoch body. Every argument must outlive the loop.
+class TrainLoop {
+ public:
+  TrainLoop(const GnnModel& model, const GraphContext& ctx,
+            const Dataset& data, ParamStore& params,
+            const TrainConfig& config);
+  ~TrainLoop();
+
+  /// Leaves sharing `params`' tensors; the epoch body's forward reads them.
+  const ParamMap& leaves() const { return leaves_; }
+
+  /// Backpropagates `loss` into the leaves and steps the optimizer;
+  /// returns the loss value.
+  double step(const ag::Value& loss);
+
+  /// Runs up to config.epochs epochs of `epoch`, which returns the
+  /// epoch's train loss.
+  TrainResult run(const std::function<double()>& epoch);
+
+ private:
+  ParamStore& params_;
+  const TrainConfig& config_;
+  Timer timer_;
+  ParamMap leaves_;
+  std::unique_ptr<Optimizer> optimizer_;
+  std::unique_ptr<SplitEvaluator> val_eval_;
 };
 
 /// Train `params` on the dataset's train split. The context must match the

@@ -23,6 +23,8 @@
 //  - Minibatch blocks sampled with BlockTranspose::kBuild carry the
 //    cached backward transpose, and block_spmm gradients through it match
 //    the seed scatter.
+//  - The block forward over an exact field (SplitEvaluator::field()) is
+//    bit-equal to the full tape forward's rows for SAGE.
 #include <cstring>
 #include <memory>
 #include <numeric>
@@ -43,6 +45,7 @@
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
 #include "test_helpers.hpp"
+#include "train/metrics.hpp"
 #include "util/memory_tracker.hpp"
 #include "util/rng.hpp"
 
@@ -482,6 +485,44 @@ TEST(BlockTransposeAtSampleTime, CarriedAndGradExact) {
 }
 
 // ---- Standalone subgraph plans (server LRU building block) ---------------
+
+// An exact field is a Block stack, so the tape's block forward runs over
+// a SplitEvaluator's receptive field as it is, with no copy: its rows must
+// equal the full-graph tape forward's val rows to the bit.
+TEST(BlockForward, ExactFieldRowsEqualFullTapeRows) {
+  const Dataset data = exec_dataset();
+  const ModelConfig cfg = exec_config(Arch::kSage, data);
+  const GnnModel model(cfg);
+  Rng rng(61);
+  ParamStore params = model.init_params(rng);
+  for (const ParamEntry& e : params.entries()) {
+    if (e.name.ends_with("bias")) {
+      init::normal(params.get_mutable(e.name), rng, 0.0f, 0.5f);
+    }
+  }
+  const GraphContext ctx(data.graph, Arch::kSage);
+  const SplitEvaluator eval(model, ctx, data, params, Split::kVal);
+  const std::vector<Block>& field = eval.field().layers;
+  for (const Block& b : field) EXPECT_EQ(b.transpose, nullptr);
+
+  const Tensor full = tape_logits(cfg, ctx, data, params, nullptr);
+  ag::NoGradGuard guard;
+  const ag::Value x = ag::gather_rows(ag::constant(data.features),
+                                      field.front().src_nodes);
+  const Tensor rows =
+      model.forward_blocks(field, x, as_leaves(params, false))->value;
+
+  const auto val = data.split_nodes(Split::kVal);
+  ASSERT_EQ(rows.shape(0), static_cast<std::int64_t>(val.size()));
+  for (std::size_t i = 0; i < val.size(); ++i) {
+    EXPECT_EQ(std::memcmp(rows.data() + static_cast<std::int64_t>(i) *
+                                            cfg.out_dim,
+                          full.data() + val[i] * cfg.out_dim,
+                          sizeof(float) * cfg.out_dim),
+              0)
+        << "val node " << val[i];
+  }
+}
 
 TEST(SubgraphPlans, CompiledPlanMatchesDirectQuery) {
   const Dataset data = exec_dataset();

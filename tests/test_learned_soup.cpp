@@ -1,6 +1,7 @@
 // Learned Souping (Alg. 3) and Partition Learned Souping (Alg. 4) tests:
 // optimisation behaviour, ingredient re-weighting, partition-ratio
-// semantics, determinism, and bitwise repeats from a warm storage pool.
+// semantics, determinism, PLS at R = K against LS, and bitwise repeats
+// from a warm storage pool.
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -298,6 +299,112 @@ TEST_F(LearnedSoupFixture, PlsPartitioningIsValBalanced) {
     EXPECT_GT(c, 0) << "every partition should carry validation nodes";
   }
 }
+
+TEST_F(LearnedSoupFixture, PlsPruningDropsSabotagedIngredient) {
+  // Ingredient drop-out lives in the shared alpha loop, so PLS honours
+  // base.prune_threshold exactly as LS does (test_extensions.cpp).
+  std::vector<Ingredient> rigged(result_->ingredients.begin(),
+                                 result_->ingredients.end());
+  for (auto& ing : rigged) ing.params = ing.params.clone();
+  Rng noise_rng(7);
+  for (const auto& e : rigged[1].params.entries()) {
+    init::normal(rigged[1].params.get_mutable(e.name), noise_rng, 0.0f,
+                 1.5f);
+  }
+
+  PlsConfig cfg;
+  cfg.base.epochs = 60;
+  cfg.base.lr = 0.3;
+  cfg.base.granularity = AlphaGranularity::kGlobal;
+  cfg.base.prune_threshold = 0.5;
+  cfg.num_parts = 8;
+  cfg.budget = 4;
+  PartitionLearnedSouper souper(*data_, cfg);
+  (void)souper.mix(soup_context(rigged));
+  EXPECT_GT(souper.pruned_entries(), 0);
+  ASSERT_EQ(souper.final_weights().size(), 1u);
+  EXPECT_LT(souper.final_weights().front()[1], 1e-6f);
+}
+
+TEST_F(LearnedSoupFixture, PlsKeepBestNeverWorseAtValThanFinalEpoch) {
+  PlsConfig with_best;
+  with_best.base.epochs = 30;
+  with_best.base.keep_best = true;
+  with_best.base.eval_every = 5;
+  with_best.num_parts = 8;
+  with_best.budget = 2;
+  PartitionLearnedSouper souper_best(*data_, with_best);
+  const SoupReport r_best = run_souper(souper_best, soup_context());
+
+  PlsConfig without = with_best;
+  without.base.keep_best = false;
+  PartitionLearnedSouper souper_plain(*data_, without);
+  const SoupReport r_plain = run_souper(souper_plain, soup_context());
+  EXPECT_GE(r_best.val_acc + 1e-9, r_plain.val_acc);
+}
+
+// PLS differs from LS only in the field each epoch runs on. At R = K the
+// drawn union is the whole graph in its own numbering, so the two mixes
+// must agree to the bit: soup bytes and every epoch's loss.
+class PlsAtFullBudget : public ::testing::TestWithParam<Arch> {};
+
+TEST_P(PlsAtFullBudget, MatchesLsBitForBit) {
+  const Arch arch = GetParam();
+  SyntheticSpec spec;
+  spec.num_nodes = 400;
+  spec.num_classes = 4;
+  spec.avg_degree = 8;
+  spec.homophily = 0.75;
+  spec.feature_dim = 12;
+  spec.feature_noise = 0.9;
+  spec.seed = 37;
+  const Dataset data = generate_dataset(spec);
+
+  ModelConfig mcfg;
+  mcfg.arch = arch;
+  mcfg.in_dim = data.feature_dim();
+  mcfg.hidden_dim = 8;
+  mcfg.out_dim = data.num_classes;
+  mcfg.heads = arch == Arch::kGat ? 2 : 1;
+  mcfg.dropout = 0.3f;
+  const GnnModel model(mcfg);
+  const GraphContext ctx(data.graph, arch);
+
+  FarmConfig farm;
+  farm.num_ingredients = 3;
+  farm.num_workers = 1;
+  farm.train.epochs = 5;
+  farm.train.seed = 2;
+  farm.init_seed = 8;
+  const FarmResult ingredients = train_ingredients(model, ctx, data, farm);
+  const SoupContext sctx{model, ctx, data, ingredients.ingredients};
+
+  LearnedSoupConfig ls_cfg;
+  ls_cfg.epochs = 8;
+  ls_cfg.seed = 21;
+  LearnedSouper ls(ls_cfg);
+  const ParamStore ls_soup = ls.mix(sctx);
+
+  PlsConfig pls_cfg;
+  pls_cfg.base = ls_cfg;
+  pls_cfg.num_parts = 4;
+  pls_cfg.budget = 4;
+  PartitionLearnedSouper pls(data, pls_cfg);
+  const ParamStore pls_soup = pls.mix(sctx);
+
+  EXPECT_EQ(pls.loss_history(), ls.loss_history());
+  ASSERT_EQ(pls_soup.entries().size(), ls_soup.entries().size());
+  for (const auto& e : ls_soup.entries()) {
+    const Tensor& p = pls_soup.get(e.name);
+    ASSERT_EQ(p.numel(), e.tensor.numel()) << e.name;
+    EXPECT_EQ(std::memcmp(p.data(), e.tensor.data(), p.bytes()), 0)
+        << e.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllArchs, PlsAtFullBudget,
+                         ::testing::Values(Arch::kGcn, Arch::kSage,
+                                           Arch::kGat));
 
 // The second LS and PLS runs take every tape block from a pool full of
 // stale data (the first runs' tapes, topped with NaN-filled blocks of every

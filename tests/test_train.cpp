@@ -489,6 +489,42 @@ TEST(MinibatchTrainer, SageLearnsAboveChance) {
   EXPECT_GT(result.best_val_acc, 0.5);
 }
 
+TEST(MinibatchTrainer, DeterministicForFixedSeed) {
+  // Sampling, shuffling and dropout share one seeded stream, so two runs
+  // must train the same bytes.
+  const Dataset data = train_dataset(56);
+  ModelConfig cfg;
+  cfg.arch = Arch::kSage;
+  cfg.in_dim = data.feature_dim();
+  cfg.hidden_dim = 16;
+  cfg.out_dim = data.num_classes;
+  cfg.dropout = 0.2f;
+  const GnnModel model(cfg);
+  const GraphContext ctx(data.graph, Arch::kSage);
+
+  auto run = [&] {
+    Rng rng(7);
+    ParamStore params = model.init_params(rng);
+    MinibatchConfig mb;
+    mb.train.epochs = 4;
+    mb.train.schedule.base_lr = 0.01;
+    mb.train.seed = 11;
+    mb.batch_size = 64;
+    mb.fanouts = {5, 5};
+    train_minibatch(model, ctx, data, params, mb);
+    return params;
+  };
+  const ParamStore a = run();
+  const ParamStore b = run();
+  ASSERT_EQ(a.entries().size(), b.entries().size());
+  for (const auto& e : a.entries()) {
+    const Tensor& other = b.get(e.name);
+    ASSERT_EQ(other.numel(), e.tensor.numel()) << e.name;
+    EXPECT_EQ(std::memcmp(other.data(), e.tensor.data(), other.bytes()), 0)
+        << e.name;
+  }
+}
+
 TEST(MinibatchTrainer, RejectsNonSageArchitectures) {
   const Dataset data = testing::tiny_dataset();
   ModelConfig cfg;
