@@ -10,6 +10,7 @@
 // Usage: bench_kernels [--smoke] [--out PATH]
 //   --smoke   tiny shapes + minimal iterations (CI regression gate)
 //   --out     artifact path (default BENCH_kernels.json in the CWD)
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <numeric>
@@ -189,6 +190,44 @@ void bench_gemm(const BenchConfig& cfg, bench::KernelReport& report) {
               ops::matmul_tn_naive(x, dy);
             } else {
               ops::matmul_tn(x, dy);
+            }
+          },
+          cfg.min_iters, cfg.min_seconds);
+      report.add(r);
+    }
+  }
+  // The same weight gradients over a row-sparse dY, as learned souping's
+  // validation-only loss leaves them: the 80-wide layer-0 gradient at 30%
+  // nonzero rows and the 47-class layer's at 2%. The blocked record finds
+  // the rows and contracts only those (the tape's path, row scan
+  // included); its naive twin contracts every row.
+  struct SparseTn {
+    std::int64_t m, n;
+    double density;
+    const char* tag;
+  };
+  for (const SparseTn& s : {SparseTn{80, 64, 0.30, ",rows=30%"},
+                            SparseTn{64, 47, 0.02, ",rows=2%"}}) {
+    const Tensor x = random_tensor({rows, s.m}, 9);
+    Tensor dy = random_tensor({rows, s.n}, 10);
+    Rng rng(11);
+    for (std::int64_t i = 0; i < rows; ++i) {
+      if (rng.uniform() >= s.density) {
+        std::fill(dy.data() + i * s.n, dy.data() + (i + 1) * s.n, 0.0f);
+      }
+    }
+    for (const bool naive : {true, false}) {
+      bench::KernelResult r{"matmul_tn", naive ? "naive" : "blocked",
+                            dense_shape(s.m, rows, s.n) + s.tag};
+      r.flops = 2.0 * s.m * rows * s.n;
+      r.bytes = (rows * s.m + rows * s.n + s.m * s.n) * sizeof(float);
+      bench::time_kernel(
+          r,
+          [&] {
+            if (naive) {
+              ops::matmul_tn_naive(x, dy);
+            } else {
+              ops::matmul_tn(x, dy, ops::row_support(dy).rows);
             }
           },
           cfg.min_iters, cfg.min_seconds);

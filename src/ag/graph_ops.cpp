@@ -367,15 +367,51 @@ void spmm_rows(const std::int64_t* __restrict__ indptr,
   }
 }
 
+/// Runs `rows(lo, hi)` over the maximal runs of [lo, hi) whose rows read a
+/// live X row (live[indices[e]] != 0 for some edge e of the row), for the
+/// backward Y += Aᵀ·dY over a row-sparse dY; a null `live` runs all of
+/// [lo, hi). A row between the runs reads
+/// only zero X rows: the kernel would add ±0 terms to its existing value,
+/// which changes nothing unless that value is −0, and a gradient never is
+/// (it starts from +0, and a sum is −0 only when both terms are). So such a
+/// row is skipped whole. Single edges are never skipped: that would regroup
+/// the dual accumulators' even/odd edge pairs and change bits.
+template <typename Idx, typename F>
+void for_each_live_run(const std::int64_t* __restrict__ indptr,
+                       const Idx* __restrict__ indices,
+                       const std::uint8_t* __restrict__ live, std::int64_t lo,
+                       std::int64_t hi, F&& rows) {
+  if (live == nullptr) {
+    rows(lo, hi);
+    return;
+  }
+  const auto reads_live = [&](std::int64_t i) {
+    for (std::int64_t e = indptr[i]; e < indptr[i + 1]; ++e) {
+      if (live[indices[e]] != 0) return true;
+    }
+    return false;
+  };
+  std::int64_t i = lo;
+  while (i < hi) {
+    while (i < hi && !reads_live(i)) ++i;
+    std::int64_t j = i;
+    while (j < hi && reads_live(j)) ++j;
+    if (i < j) rows(i, j);
+    i = j;
+  }
+}
+
 /// Shared driver: edge-balanced chunks over rows, then the width-dispatched
 /// body per chunk. Spans rather than a Csr so bipartite block-local
 /// structures (serving engine, minibatch blocks) run the same code path.
+/// A non-null `live` (one byte per X row) skips the rows that read only
+/// zero X rows (for_each_live_run).
 template <bool Overwrite, typename TX, float (*WidenX)(TX)>
 void spmm_dispatch_t(std::span<const std::int64_t> sp_indptr,
                      std::span<const std::int32_t> sp_indices,
                      std::span<const float> sp_values,
                      const TX* __restrict__ px, std::int64_t d, Tensor& y,
-                     Precision prec) {
+                     Precision prec, const std::uint8_t* live = nullptr) {
   float* __restrict__ py = y.data();
   const auto* __restrict__ indptr = sp_indptr.data();
   const auto* __restrict__ indices = sp_indices.data();
@@ -392,8 +428,11 @@ void spmm_dispatch_t(std::span<const std::int64_t> sp_indptr,
         return;
       }
     }
-    spmm_rows<Overwrite, std::int32_t, TX, WidenX>(indptr, indices, values,
-                                                   px, py, d, e, lo, hi);
+    for_each_live_run(indptr, indices, live, lo, hi,
+                      [&](std::int64_t r0, std::int64_t r1) {
+                        spmm_rows<Overwrite, std::int32_t, TX, WidenX>(
+                            indptr, indices, values, px, py, d, e, r0, r1);
+                      });
   });
 }
 
@@ -401,10 +440,10 @@ template <bool Overwrite>
 void spmm_dispatch(std::span<const std::int64_t> sp_indptr,
                    std::span<const std::int32_t> sp_indices,
                    std::span<const float> sp_values, const Tensor& x,
-                   Tensor& y) {
+                   Tensor& y, const std::uint8_t* live = nullptr) {
   spmm_dispatch_t<Overwrite, float, spmm_widen_f32>(
       sp_indptr, sp_indices, sp_values, x.data(), x.shape(1), y,
-      Precision::kFp32);
+      Precision::kFp32, live);
 }
 
 /// Driver for cached graph::BlockedCsr layouts: the edge-balanced row
@@ -413,7 +452,8 @@ void spmm_dispatch(std::span<const std::int64_t> sp_indptr,
 template <bool Overwrite, typename TX, float (*WidenX)(TX)>
 void spmm_blocked_dispatch_t(const graph::BlockedCsr& a,
                              const TX* __restrict__ px, std::int64_t d,
-                             Tensor& y, Precision prec) {
+                             Tensor& y, Precision prec,
+                             const std::uint8_t* live = nullptr) {
   GSOUP_CHECK_MSG(a.weighted() || a.num_edges() == 0,
                   "blocked spmm needs a weighted layout (SpMM operand), "
                   "not a structure-only attention layout");
@@ -433,8 +473,13 @@ void spmm_blocked_dispatch_t(const graph::BlockedCsr& a,
                              return;
                            }
                          }
-                         spmm_rows<Overwrite, Idx, TX, WidenX>(
-                             indptr, indices, values, px, py, d, e, lo, hi);
+                         for_each_live_run(
+                             indptr, indices, live, lo, hi,
+                             [&](std::int64_t r0, std::int64_t r1) {
+                               spmm_rows<Overwrite, Idx, TX, WidenX>(
+                                   indptr, indices, values, px, py, d, e, r0,
+                                   r1);
+                             });
                        });
   };
   if (a.narrow()) {
@@ -446,13 +491,34 @@ void spmm_blocked_dispatch_t(const graph::BlockedCsr& a,
 
 template <bool Overwrite>
 void spmm_blocked_dispatch(const graph::BlockedCsr& a, const Tensor& x,
-                           Tensor& y) {
+                           Tensor& y, const std::uint8_t* live = nullptr) {
   GSOUP_CHECK_MSG(x.rank() == 2 && y.rank() == 2 &&
                       y.shape(0) == a.num_rows && y.shape(1) == x.shape(1),
                   "blocked spmm: bad shapes " << x.shape_str() << " -> "
                                               << y.shape_str());
   spmm_blocked_dispatch_t<Overwrite, float, spmm_widen_f32>(
-      a, x.data(), x.shape(1), y, Precision::kFp32);
+      a, x.data(), x.shape(1), y, Precision::kFp32, live);
+}
+
+/// The SpMM backward dX += Aᵀ·dY over the cached transpose layout when
+/// there is one, else over the transpose CSR. Rows of dX that read only
+/// zero rows of dY are skipped (for_each_live_run) when dY is sparse
+/// enough for that to pay (ops::skip_pays); otherwise the plain
+/// accumulate runs.
+void spmm_backward(const Csr* a_t, const graph::BlockedCsr* layout_t,
+                   const Tensor& grad_out, Tensor& x_grad) {
+  const ops::RowSupport support = ops::row_support(grad_out);
+  const std::uint8_t* live =
+      ops::skip_pays(static_cast<std::int64_t>(support.rows.size()),
+                     grad_out.shape(0))
+          ? support.mask.data()
+          : nullptr;
+  if (layout_t != nullptr) {
+    spmm_blocked_dispatch<false>(*layout_t, grad_out, x_grad, live);
+  } else {
+    spmm_dispatch<false>(a_t->indptr, a_t->indices, a_t->values, grad_out,
+                         x_grad, live);
+  }
 }
 
 // ---- GAT attention kernels ------------------------------------------------
@@ -1189,11 +1255,7 @@ Value spmm(const Csr& a, const Csr& a_transpose, const Value& x,
       std::move(out), {x},
       [x, at, layout_t](Node& node) {
         if (!x->requires_grad) return;
-        if (layout_t != nullptr) {
-          spmm_blocked_accumulate(*layout_t, node.grad, x->ensure_grad());
-        } else {
-          spmm_accumulate(*at, node.grad, x->ensure_grad());
-        }
+        spmm_backward(at, layout_t, node.grad, x->ensure_grad());
       },
       "spmm");
 }
@@ -1660,7 +1722,7 @@ Value block_spmm(const Block& block, const Value& x) {
       std::move(out), {x},
       [x, bt = std::move(bt)](Node& node) {
         if (!x->requires_grad) return;
-        spmm_blocked_accumulate(*bt, node.grad, x->ensure_grad());
+        spmm_backward(nullptr, bt.get(), node.grad, x->ensure_grad());
       },
       "block_spmm");
 }

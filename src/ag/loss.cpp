@@ -12,6 +12,7 @@ Value cross_entropy(const Value& logits, std::span<const std::int32_t> labels,
                     std::span<const std::int64_t> nodes) {
   GSOUP_CHECK_MSG(logits->value.rank() == 2, "cross_entropy needs [n,c]");
   GSOUP_CHECK_MSG(!nodes.empty(), "cross_entropy needs a non-empty mask");
+  [[maybe_unused]] const std::int64_t n = logits->value.shape(0);
   const std::int64_t c = logits->value.shape(1);
   const auto m = static_cast<std::int64_t>(nodes.size());
 

@@ -74,13 +74,16 @@ Value matmul(const Value& a, const Value& b) {
   return make_node(
       std::move(out), {a, b},
       [a, b](Node& node) {
+        // Both products skip the zero rows of dC, found once here.
+        const std::vector<std::int64_t> rows =
+            ops::row_support(node.grad).rows;
         if (a->requires_grad) {
           // dA = dC · Bᵀ
-          hand_over(a, ops::matmul_nt(node.grad, b->value));
+          hand_over(a, ops::matmul_nt(node.grad, b->value, rows));
         }
         if (b->requires_grad) {
           // dB = Aᵀ · dC
-          hand_over(b, ops::matmul_tn(a->value, node.grad));
+          hand_over(b, ops::matmul_tn(a->value, node.grad, rows));
         }
       },
       "matmul");

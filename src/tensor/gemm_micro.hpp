@@ -40,10 +40,15 @@ constexpr std::int64_t kNC = 128;
 /// always fp32 here — half-stored A/B widen during packing (PackA16 /
 /// PackB16 in ops.cpp), so the contraction itself is fp32 for every storage
 /// precision, in the same order, which is the reduced-precision numerics
-/// contract. kCombineBias selects the fused store c = (acc + c) + bias
-/// (the SAGE combine); it is only correct when `acc` is the COMPLETE
-/// product, i.e. a single k-panel.
-template <bool kCombineBias>
+/// contract. `kOp` picks the store: kAdd is c += acc (a later k-panel, or
+/// an accumulating GEMM); kStore is c = acc, bit-equal to adding `acc` into
+/// a zero-filled C because `acc` starts at +0 and a sum is −0 only when
+/// both terms are, so `acc` is never −0; kCombineBias is the fused store
+/// c = (acc + c) + bias (the SAGE combine), only correct when `acc` is the
+/// COMPLETE product, i.e. a single k-panel.
+enum class TileOp { kAdd, kStore, kCombineBias };
+
+template <TileOp kOp>
 inline void micro_kernel_full(std::int64_t kc, const float* __restrict__ a,
                               std::int64_t lda, std::int64_t ldp,
                               const float* __restrict__ bp, std::int64_t ldb,
@@ -62,8 +67,10 @@ inline void micro_kernel_full(std::int64_t kc, const float* __restrict__ a,
   for (std::int64_t r = 0; r < kMR; ++r) {
 #pragma omp simd
     for (std::int64_t j = 0; j < kNR; ++j) {
-      if constexpr (kCombineBias) {
+      if constexpr (kOp == TileOp::kCombineBias) {
         c[r * ldc + j] = (acc[r][j] + c[r * ldc + j]) + bias[j];
+      } else if constexpr (kOp == TileOp::kStore) {
+        c[r * ldc + j] = acc[r][j];
       } else {
         c[r * ldc + j] += acc[r][j];
       }

@@ -26,13 +26,22 @@ bool available() {
 
 void full(std::int64_t kc, const float* a, std::int64_t lda, std::int64_t ldp,
           const float* bp, std::int64_t ldb, float* c, std::int64_t ldc) {
-  detail::micro_kernel_full<false>(kc, a, lda, ldp, bp, ldb, c, ldc, nullptr);
+  detail::micro_kernel_full<detail::TileOp::kAdd>(kc, a, lda, ldp, bp, ldb, c,
+                                                 ldc, nullptr);
+}
+
+void full_store(std::int64_t kc, const float* a, std::int64_t lda,
+                std::int64_t ldp, const float* bp, std::int64_t ldb, float* c,
+                std::int64_t ldc) {
+  detail::micro_kernel_full<detail::TileOp::kStore>(kc, a, lda, ldp, bp, ldb,
+                                                   c, ldc, nullptr);
 }
 
 void full_bias(std::int64_t kc, const float* a, std::int64_t lda,
                std::int64_t ldp, const float* bp, std::int64_t ldb, float* c,
                std::int64_t ldc, const float* bias) {
-  detail::micro_kernel_full<true>(kc, a, lda, ldp, bp, ldb, c, ldc, bias);
+  detail::micro_kernel_full<detail::TileOp::kCombineBias>(
+      kc, a, lda, ldp, bp, ldb, c, ldc, bias);
 }
 
 }  // namespace gsoup::ops::gemmsimd
@@ -46,6 +55,11 @@ bool available() { return false; }
 void full(std::int64_t, const float*, std::int64_t, std::int64_t,
           const float*, std::int64_t, float*, std::int64_t) {
   GSOUP_CHECK_MSG(false, "gemmsimd::full called without AVX2 support");
+}
+
+void full_store(std::int64_t, const float*, std::int64_t, std::int64_t,
+                const float*, std::int64_t, float*, std::int64_t) {
+  GSOUP_CHECK_MSG(false, "gemmsimd::full_store called without AVX2 support");
 }
 
 void full_bias(std::int64_t, const float*, std::int64_t, std::int64_t,

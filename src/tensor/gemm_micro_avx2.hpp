@@ -13,6 +13,9 @@ bool available();
 /// kernel (see gemm_micro.hpp). Callers must have checked available().
 void full(std::int64_t kc, const float* a, std::int64_t lda, std::int64_t ldp,
           const float* bp, std::int64_t ldb, float* c, std::int64_t ldc);
+void full_store(std::int64_t kc, const float* a, std::int64_t lda,
+                std::int64_t ldp, const float* bp, std::int64_t ldb, float* c,
+                std::int64_t ldc);
 void full_bias(std::int64_t kc, const float* a, std::int64_t lda,
                std::int64_t ldp, const float* bp, std::int64_t ldb, float* c,
                std::int64_t ldc, const float* bias);

@@ -323,6 +323,145 @@ TEST(GemmContract, HalfOverloadsMatchOracleOverWidenedOperandsBitwise) {
   }
 }
 
+// ---- Row-sparse backward GEMMs ---------------------------------------------
+//
+// matmul_tn / matmul_nt with a gradient's row list skip its zero rows and
+// must still match the dense contract above bit for bit: each k-panel keeps
+// its rows, and a dropped a·(±0) term never moves an accumulator that
+// starts at +0.
+
+/// A k-row gradient-like operand whose listed rows hold random values and
+/// whose other rows hold `zero` (+0 or −0).
+struct RowSparseCase {
+  const char* name;
+  std::int64_t k;
+  std::vector<std::int64_t> live;
+  float zero = 0.0f;
+};
+
+std::vector<RowSparseCase> row_sparse_cases() {
+  std::vector<RowSparseCase> cases;
+  const auto random_rows = [](std::int64_t k, double density,
+                              std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::int64_t> rows;
+    for (std::int64_t i = 0; i < k; ++i) {
+      if (rng.uniform() < density) rows.push_back(i);
+    }
+    return rows;
+  };
+  cases.push_back({"2% rows", 1500, random_rows(1500, 0.02, 1)});
+  cases.push_back({"30% rows", 1500, random_rows(1500, 0.30, 2)});
+  // Above skip_pays' 3/4 the dense call runs; the bits are the same.
+  cases.push_back({"90% rows", 1500, random_rows(1500, 0.90, 5)});
+  cases.push_back({"100% rows", 1500, random_rows(1500, 1.0, 3)});
+  cases.push_back({"30% rows of -0", 1500, random_rows(1500, 0.30, 4), -0.0f});
+  // Rows 256-511 (one whole k-panel) are zero.
+  std::vector<std::int64_t> hole;
+  for (std::int64_t i = 0; i < 700; ++i) {
+    if (i < 256 || i >= 512) hole.push_back(i);
+  }
+  cases.push_back({"zero panel", 700, hole});
+  cases.push_back({"all zero", 600, {}});
+  cases.push_back({"all -0", 600, {}, -0.0f});
+  for (const std::int64_t r : {255, 256, 257}) {
+    cases.push_back({"one row", 600, {r}});
+  }
+  return cases;
+}
+
+Tensor row_sparse_operand(const RowSparseCase& c, std::int64_t width,
+                          std::uint64_t seed) {
+  Tensor t = Tensor::full({c.k, width}, c.zero);
+  const Tensor v = random_tensor({c.k, width}, seed);
+  for (const std::int64_t r : c.live) {
+    std::copy_n(v.data() + r * width, width, t.data() + r * width);
+  }
+  return t;
+}
+
+TEST(GemmContract, RowSparseTnAndNtMatchDenseOracleBitwise) {
+  for (const RowSparseCase& c : row_sparse_cases()) {
+    SCOPED_TRACE(::testing::Message() << c.name << " k=" << c.k << " live="
+                                      << c.live.size());
+    // dW = Xᵀ·dY: X [k, m], dY [k, n], at an odd m and n.
+    const std::int64_t m = 37, n = 47;
+    const Tensor x = random_tensor({c.k, m}, 41 * c.k + 1);
+    const Tensor dy = row_sparse_operand(c, n, 43 * c.k + 2);
+    const ops::RowSupport support = ops::row_support(dy);
+    EXPECT_EQ(support.rows, c.live);
+    ASSERT_TRUE(oracle_blocked(m, n, c.k));
+    const std::vector<float> zeros(static_cast<std::size_t>(m * n), 0.0f);
+    const std::vector<float> want_tn =
+        gemm_oracle(transposed(x), values_of(dy), zeros, m, n, c.k);
+    EXPECT_TRUE(bits_equal(ops::matmul_tn(x, dy, support.rows), want_tn))
+        << "matmul_tn";
+
+    // dX = dY·Wᵀ: dY [k, kd], W [n, kd].
+    const std::int64_t kd = 64;
+    const Tensor g = row_sparse_operand(c, kd, 47 * c.k + 3);
+    const Tensor w = random_tensor({n, kd}, 53 * c.k + 4);
+    const std::vector<std::int64_t> g_rows = ops::row_support(g).rows;
+    const std::vector<float> zeros_nt(static_cast<std::size_t>(c.k * n),
+                                      0.0f);
+    const std::vector<float> want_nt =
+        gemm_oracle(values_of(g), transposed(w), zeros_nt, c.k, n, kd);
+    EXPECT_TRUE(bits_equal(ops::matmul_nt(g, w, g_rows), want_nt))
+        << "matmul_nt";
+    EXPECT_TRUE(bits_equal(ops::matmul_nt(g, w), want_nt))
+        << "dense matmul_nt";
+  }
+}
+
+TEST(GemmContract, RowSparseSkipsNonFiniteValuesMeetingZeroRows) {
+  // The one intended divergence from the dense call: a non-finite value
+  // whose partner gradient row is zero meets no multiply, so it no longer
+  // turns the result into NaN (∞·0).
+  // Every even row of the gradients is zero, so the row-sparse path runs.
+  const std::int64_t k = 600, m = 37, n = 47;
+  const auto zero_even_rows = [](Tensor& t) {
+    const std::int64_t w = t.shape(1);
+    for (std::int64_t i = 0; i < t.shape(0); i += 2) {
+      std::fill(t.data() + i * w, t.data() + (i + 1) * w, 0.0f);
+    }
+  };
+  Tensor x = random_tensor({k, m}, 61);
+  Tensor dy = random_tensor({k, n}, 62);
+  zero_even_rows(dy);
+  x.at(300, 5) = std::numeric_limits<float>::infinity();
+  const std::vector<std::int64_t> rows = ops::row_support(dy).rows;
+  ASSERT_EQ(rows.size(), static_cast<std::size_t>(k / 2));
+  EXPECT_TRUE(ops::all_finite(ops::matmul_tn(x, dy, rows)));
+  EXPECT_FALSE(ops::all_finite(ops::matmul_tn(x, dy)));
+  // With the ∞ replaced by a finite value the sparse result is unchanged
+  // and equals the dense one.
+  const Tensor sparse = ops::matmul_tn(x, dy, rows);
+  x.at(300, 5) = 1.0f;
+  EXPECT_TRUE(bits_equal(sparse, values_of(ops::matmul_tn(x, dy))));
+
+  // dX = dY·Wᵀ with a NaN in W: the zero row of dY stays +0.
+  Tensor w = random_tensor({n, 64}, 63);
+  Tensor g = random_tensor({k, 64}, 64);
+  zero_even_rows(g);
+  w.at(3, 7) = std::numeric_limits<float>::quiet_NaN();
+  const Tensor dx = ops::matmul_nt(g, w, ops::row_support(g).rows);
+  for (std::int64_t j = 0; j < n; ++j) {
+    EXPECT_EQ(std::signbit(dx.at(10, j)), false);
+    EXPECT_EQ(dx.at(10, j), 0.0f);
+  }
+  EXPECT_TRUE(std::isnan(ops::matmul_nt(g, w).at(10, 3)));
+}
+
+TEST(GemmContract, RowSupportTreatsSignedZeroAsZeroAndNanAsNonzero) {
+  Tensor t = Tensor::zeros({5, 3});
+  t.at(1, 2) = -0.0f;
+  t.at(2, 0) = 1e-30f;
+  t.at(4, 1) = std::numeric_limits<float>::quiet_NaN();
+  const ops::RowSupport s = ops::row_support(t);
+  EXPECT_EQ(s.rows, (std::vector<std::int64_t>{2, 4}));
+  EXPECT_EQ(s.mask, (std::vector<std::uint8_t>{0, 0, 1, 0, 1}));
+}
+
 // ---- Transpose ------------------------------------------------------------
 
 TEST(Kernels, TransposeTiledMatchesElementwise) {
@@ -635,6 +774,60 @@ TEST(SpmmContract, OverwriteAndAccumulateMatchOracleBitwise) {
     y = y0.clone();
     ag::spmm_accumulate(g, x, y);
     EXPECT_TRUE(bits_equal(y, want_acc)) << "csr accumulate";
+  }
+}
+
+TEST(SpmmContract, BackwardSkipsZeroGradientRowsBitwise) {
+  // ag::spmm's backward skips each dX row whose in-edges all read zero rows
+  // of dY, over the transpose CSR and over the cached transpose layouts.
+  // Every row it still computes, and every row it leaves at its existing
+  // value, must equal today's dense accumulate bit for bit.
+  const Csr g = random_csr(400, 6.0, 93);
+  const CsrTranspose gt = g.transpose();
+  const graph::BlockedCsr narrow_t = graph::build_blocked_transpose(
+      g, /*force_wide=*/false, /*with_epos=*/false);
+  const graph::BlockedCsr wide_t = graph::build_blocked_transpose(
+      g, /*force_wide=*/true, /*with_epos=*/false);
+  ASSERT_TRUE(narrow_t.narrow());
+  ASSERT_FALSE(wide_t.narrow());
+  const std::int64_t n = g.num_nodes;
+  for (const std::int64_t d : {64, 80}) {
+    for (const double density : {0.0, 0.02, 0.3, 0.9, 1.0}) {
+      SCOPED_TRACE(::testing::Message() << "d=" << d << " rows=" << density);
+      Rng rng(static_cast<std::uint64_t>(d * 100 + density * 100));
+      Tensor dy = random_tensor({n, d}, 960 + d);
+      for (std::int64_t i = 0; i < n; ++i) {
+        if (rng.uniform() >= density) {
+          std::fill(dy.data() + i * d, dy.data() + (i + 1) * d, 0.0f);
+        }
+      }
+      const Tensor x0 = random_tensor({n, d}, 970 + d);
+      const Tensor grad0 = random_tensor({n, d}, 975 + d);
+      for (const graph::BlockedCsr* layout_t :
+           {static_cast<const graph::BlockedCsr*>(nullptr), &narrow_t,
+            &wide_t}) {
+        const char* path = layout_t == nullptr     ? "csr"
+                           : layout_t->narrow() ? "16-bit layout"
+                                                : "32-bit layout";
+        // A fresh gradient (ensure_grad's +0) and an existing one.
+        for (const bool existing : {false, true}) {
+          const Tensor start = existing ? grad0 : Tensor::zeros({n, d});
+          Tensor want = start.clone();
+          if (layout_t == nullptr) {
+            ag::spmm_accumulate(gt.graph, dy, want);
+          } else {
+            ag::spmm_blocked_accumulate(*layout_t, dy, want);
+          }
+          auto x = ag::make_leaf(x0, true);
+          const ag::Value y = ag::spmm(g, gt.graph, x, nullptr, layout_t);
+          if (existing) x->grad = grad0.clone();
+          y->grad = dy;
+          y->backward_fn(*y);
+          EXPECT_TRUE(bits_equal(x->grad, values_of(want)))
+              << path << (existing ? ", existing gradient" : ", fresh");
+        }
+      }
+    }
   }
 }
 
