@@ -3,9 +3,10 @@
 // Times the compute primitives every souping strategy is built from —
 // blocked GEMM vs the naive reference, edge-balanced SpMM vs the naive
 // row-parallel loop on a power-law graph, GAT attention, transpose,
-// elementwise maps and reductions — and writes BENCH_kernels.json
-// (schema gsoup-bench-kernels/v1, see README.md). The committed JSON is
-// the perf baseline later PRs are compared against.
+// the training tape's layer epilogue, elementwise maps and reductions —
+// and writes BENCH_kernels.json (schema gsoup-bench-kernels/v1, see
+// README.md). The committed JSON is the perf baseline later PRs are
+// compared against.
 //
 // Usage: bench_kernels [--smoke] [--out PATH]
 //   --smoke   tiny shapes + minimal iterations (CI regression gate)
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "ag/graph_ops.hpp"
+#include "ag/ops.hpp"
 #include "ag/value.hpp"
 #include "exec/executor.hpp"
 #include "graph/generator.hpp"
@@ -738,6 +740,51 @@ void bench_gather(const BenchConfig& cfg, bench::KernelReport& report) {
   report.add(fp16s);
 }
 
+void bench_epilogue(const BenchConfig& cfg, bench::KernelReport& report) {
+  // One layer's epilogue on the training tape at the products-like SAGE
+  // shape: act((self + neigh) + bias), forward then backward, the
+  // backward seeded with a fixed gradient so nothing else runs. `naive`
+  // records the op chain (add → add_bias → relu/elu) and `fused` the one
+  // ag::combine_bias_act node. A fused pass that falls back to a scalar
+  // loop loses its margin here.
+  const std::int64_t rows = cfg.smoke ? 1000 : 16000;
+  const std::int64_t cols = 64;
+  const Tensor a = random_tensor({rows, cols}, 12);
+  const Tensor b = random_tensor({rows, cols}, 13);
+  const Tensor bias = random_tensor({cols}, 14);
+  const Tensor seed = random_tensor({rows, cols}, 15);
+  for (const ops::Activation act :
+       {ops::Activation::kRelu, ops::Activation::kElu}) {
+    const bool relu = act == ops::Activation::kRelu;
+    for (const bool naive : {true, false}) {
+      bench::KernelResult r{"epilogue", naive ? "naive" : "fused",
+                            "m=" + std::to_string(rows) +
+                                ",n=" + std::to_string(cols) +
+                                (relu ? ",act=relu" : ",act=elu")};
+      // The fused node's traffic: a, b and out forward; out, the seed, the
+      // masked gradient, its bias-sum read and b's copy backward.
+      r.bytes = 9.0 * rows * cols * sizeof(float);
+      bench::time_kernel(
+          r,
+          [&] {
+            const ag::Value av = ag::make_leaf(a, true);
+            const ag::Value bv = ag::make_leaf(b, true);
+            const ag::Value biasv = ag::make_leaf(bias, true);
+            ag::Value y;
+            if (naive) {
+              const ag::Value pre = ag::add_bias(ag::add(av, bv), biasv);
+              y = relu ? ag::relu(pre) : ag::elu(pre);
+            } else {
+              y = ag::combine_bias_act(av, bv, biasv, act);
+            }
+            ag::backward(y, seed);
+          },
+          cfg.min_iters, cfg.min_seconds);
+      report.add(r);
+    }
+  }
+}
+
 void bench_elementwise(const BenchConfig& cfg, bench::KernelReport& report) {
   const std::int64_t numel = cfg.smoke ? (1 << 14) : (1 << 22);
   const Tensor a = random_tensor({numel}, 9);
@@ -807,6 +854,7 @@ int main(int argc, char** argv) {
   bench_block_spmm_bwd(cfg, report);
   bench_exec_forward(cfg, report);
   bench_gather(cfg, report);
+  bench_epilogue(cfg, report);
   bench_elementwise(cfg, report);
   report.compute_speedups();
   report.print_table();

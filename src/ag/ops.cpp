@@ -1,6 +1,7 @@
 #include "ag/ops.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -12,9 +13,24 @@ namespace gsoup::ag {
 
 namespace {
 
+/// c ? a : b as a bit select. GCC does not if-convert a float select
+/// whose operands are not already computed into SSE2 or AVX2 code, and
+/// leaves the loop scalar with a branch per element; a select of bits
+/// vectorises on every target and gives the same value.
+inline float select(bool c, float a, float b) {
+  const std::uint32_t m = c ? ~0u : 0u;
+  return std::bit_cast<float>((std::bit_cast<std::uint32_t>(a) & m) |
+                              (std::bit_cast<std::uint32_t>(b) & ~m));
+}
+
 /// parent.grad += term(i) over n elements. A first contribution writes
 /// 0.0f + term(i) into fresh storage in one pass: bitwise what zeros()
-/// followed by += gives, without the zero-fill pass.
+/// followed by += gives, without the zero-fill pass. The closure is
+/// firstprivate: left shared, the outlined OpenMP region reads its
+/// captured pointers through the shared closure after every store to
+/// `dst`, and GCC compiles the loop to a scalar one with a branch per
+/// element: a 16000 x 64 relu backward took 6.7-7.1 ms at one thread
+/// against 0.5 ms vectorised (AVX-512 VM).
 template <class Term>
 void contribute(const Value& parent, std::int64_t n, Term term) {
   if (!parent->requires_grad) return;
@@ -22,11 +38,11 @@ void contribute(const Value& parent, std::int64_t n, Term term) {
   if (first) parent->grad = Tensor::empty(parent->value.shape());
   float* __restrict__ dst = parent->grad.data();
   if (first) {
-#pragma omp parallel for simd schedule(static) \
+#pragma omp parallel for simd schedule(static) firstprivate(term) \
     if (n >= kParallelNumelThreshold)
     for (std::int64_t i = 0; i < n; ++i) dst[i] = 0.0f + term(i);
   } else {
-#pragma omp parallel for simd schedule(static) \
+#pragma omp parallel for simd schedule(static) firstprivate(term) \
     if (n >= kParallelNumelThreshold)
     for (std::int64_t i = 0; i < n; ++i) dst[i] += term(i);
   }
@@ -39,14 +55,62 @@ void accumulate(const Value& parent, const Tensor& g) {
   contribute(parent, g.numel(), [pg](std::int64_t i) { return pg[i]; });
 }
 
-/// a.grad += g for a fresh tensor `g` that no other node holds (a GEMM
-/// result). A first contribution hands `g` over as the gradient itself:
-/// a GEMM result is 0 + Σ and never −0, so it equals zeros() + g bitwise.
+/// a.grad += g for a fresh tensor `g` that no other node holds and that
+/// is never −0 (a GEMM result, 0 + Σ; an epilogue's masked gradient). A
+/// first contribution hands `g` over as the gradient itself, which equals
+/// zeros() + g bitwise.
 void hand_over(const Value& parent, Tensor g) {
   if (parent->grad.defined()) {
     parent->grad.add_(g);
   } else {
     parent->grad = std::move(g);
+  }
+}
+
+/// bias.grad[j] += Σ_i g[i, j]: column sums over the rows in row order,
+/// vectorised across columns; threads take whole column blocks, so every
+/// column's order is the serial one at any thread count.
+void sum_rows_into(const Tensor& g, const Value& bias) {
+  if (!bias->requires_grad) return;
+  constexpr std::int64_t kCols = 16;
+  Tensor& bg = bias->ensure_grad();
+  const std::int64_t m = g.shape(0);
+  const std::int64_t n = g.shape(1);
+  const float* __restrict__ pg = g.data();
+  float* __restrict__ pb = bg.data();
+#pragma omp parallel for schedule(static) \
+    if (m * n >= kParallelNumelThreshold && n > kCols)
+  for (std::int64_t j0 = 0; j0 < n; j0 += kCols) {
+    const std::int64_t j1 = std::min(n, j0 + kCols);
+    for (std::int64_t i = 0; i < m; ++i) {
+      const float* __restrict__ grow = pg + i * n;
+#pragma omp simd
+      for (std::int64_t j = j0; j < j1; ++j) pb[j] += grow[j];
+    }
+  }
+}
+
+/// d = dL/d(pre-activation) from the epilogue's output and gradient, in
+/// the chain's expressions: relu's 0.0f + (x > 0 ? g : 0) and elu's
+/// 0.0f + g · (x > 0 ? 1 : elu(x) + 1). Both read the output, not x:
+/// out > 0 exactly where x > 0 (relu and elu map every x ≤ 0 and NaN to
+/// a value that is not > 0). d is never −0, so 0.0f + d is d.
+template <ops::Activation kAct>
+void masked_grad(const Tensor& out, const Tensor& g, Tensor& d) {
+  const float* __restrict__ po = out.data();
+  const float* __restrict__ pg = g.data();
+  float* __restrict__ pd = d.data();
+  const std::int64_t n = g.numel();
+#pragma omp parallel for simd schedule(static) \
+    if (n >= kParallelNumelThreshold)
+  for (std::int64_t i = 0; i < n; ++i) {
+    if constexpr (kAct == ops::Activation::kRelu) {
+      pd[i] = 0.0f + select(po[i] > 0.0f, pg[i], 0.0f);
+    } else if constexpr (kAct == ops::Activation::kElu) {
+      pd[i] = 0.0f + pg[i] * select(po[i] > 0.0f, 1.0f, po[i] + 1.0f);
+    } else {
+      pd[i] = 0.0f + pg[i];
+    }
   }
 }
 
@@ -106,29 +170,49 @@ Value add_bias(const Value& x, const Value& bias) {
       std::move(out), {x, bias},
       [x, bias](Node& node) {
         accumulate(x, node.grad);
-        if (bias->requires_grad) {
-          // Column sums over the rows in row order, vectorised across
-          // columns; threads take whole column blocks, so every column's
-          // order is the serial one at any thread count.
-          constexpr std::int64_t kCols = 16;
-          Tensor& bg = bias->ensure_grad();
-          const std::int64_t m = node.grad.shape(0);
-          const std::int64_t n = node.grad.shape(1);
-          const float* __restrict__ g = node.grad.data();
-          float* __restrict__ pb = bg.data();
-#pragma omp parallel for schedule(static) \
-    if (m * n >= kParallelNumelThreshold && n > kCols)
-          for (std::int64_t j0 = 0; j0 < n; j0 += kCols) {
-            const std::int64_t j1 = std::min(n, j0 + kCols);
-            for (std::int64_t i = 0; i < m; ++i) {
-              const float* __restrict__ grow = g + i * n;
-#pragma omp simd
-              for (std::int64_t j = j0; j < j1; ++j) pb[j] += grow[j];
-            }
-          }
-        }
+        sum_rows_into(node.grad, bias);
       },
       "add_bias");
+}
+
+Value combine_bias_act(const Value& a, const Value& b, const Value& bias,
+                       ops::Activation act) {
+  Tensor out = Tensor::empty(a->value.shape());
+  ops::combine_bias_act_into(a->value, b ? &b->value : nullptr, &bias->value,
+                             act, out);
+  std::vector<Value> parents{a};
+  if (b) parents.push_back(b);
+  parents.push_back(bias);
+  // The backward reads only the node's own output (node.value).
+  return make_node(
+      std::move(out), std::move(parents),
+      [a, b, bias, act](Node& node) {
+        Tensor d = Tensor::empty(node.grad.shape());
+        switch (act) {
+          case ops::Activation::kNone:
+            masked_grad<ops::Activation::kNone>(node.value, node.grad, d);
+            break;
+          case ops::Activation::kRelu:
+            masked_grad<ops::Activation::kRelu>(node.value, node.grad, d);
+            break;
+          case ops::Activation::kElu:
+            masked_grad<ops::Activation::kElu>(node.value, node.grad, d);
+            break;
+        }
+        sum_rows_into(d, bias);
+        // b takes a copy first, so that when b is a the hand-over below
+        // adds d to that copy instead of to itself.
+        const bool to_a = a->requires_grad;
+        if (b && b->requires_grad) {
+          if (to_a) {
+            accumulate(b, d);
+          } else {
+            hand_over(b, std::move(d));
+          }
+        }
+        if (to_a) hand_over(a, std::move(d));
+      },
+      "combine_bias_act");
 }
 
 Value scale(const Value& x, float s) {
@@ -152,7 +236,7 @@ Value relu(const Value& x) {
         const std::int64_t n = node.grad.numel();
         if (!x->grad.defined()) {
           contribute(x, n, [xv, g](std::int64_t i) {
-            return xv[i] > 0.0f ? g[i] : 0.0f;
+            return select(xv[i] > 0.0f, g[i], 0.0f);
           });
           return;
         }
@@ -161,7 +245,7 @@ Value relu(const Value& x) {
 #pragma omp parallel for simd schedule(static) \
     if (n >= kParallelNumelThreshold)
         for (std::int64_t i = 0; i < n; ++i) {
-          dst[i] = xv[i] > 0.0f ? dst[i] + g[i] : dst[i];
+          dst[i] = select(xv[i] > 0.0f, dst[i] + g[i], dst[i]);
         }
       },
       "relu");
@@ -257,10 +341,11 @@ Value dropout(const Value& x, float p, Rng& rng, bool training) {
         // into one multiply-add and change the bits.
         Tensor product = Tensor::empty(node.grad.shape());
         float* __restrict__ pp = product.data();
+        const float scale = inv_keep;  // a local, not a closure read
 #pragma omp parallel for simd schedule(static) \
     if (n >= kParallelNumelThreshold)
         for (std::int64_t i = 0; i < n; ++i) {
-          pp[i] = g[i] * (pm[i] != 0 ? inv_keep : 0.0f);
+          pp[i] = g[i] * (pm[i] != 0 ? scale : 0.0f);
         }
         x->grad.add_(product);
       },

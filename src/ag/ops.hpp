@@ -5,6 +5,7 @@
 #include <span>
 
 #include "ag/value.hpp"
+#include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
 namespace gsoup::ag {
@@ -17,6 +18,14 @@ Value add(const Value& a, const Value& b);
 
 /// out[i,j] = x[i,j] + bias[j].
 Value add_bias(const Value& x, const Value& bias);
+
+/// A layer's epilogue as one tape node: act((a + b) + bias), the value
+/// and every parent gradient bit-equal to add → add_bias → relu/elu
+/// (`b` may be null: act(a + bias)). It keeps only its output; the
+/// backward forms the masked gradient in one pass, sums the bias
+/// gradient from it, and hands it to `a` and a copy to `b`.
+Value combine_bias_act(const Value& a, const Value& b, const Value& bias,
+                       ops::Activation act);
 
 /// out = s * x for a compile-time-constant scalar s.
 Value scale(const Value& x, float s);

@@ -59,8 +59,16 @@ void backward(const Value& root) {
   GSOUP_CHECK_MSG(root->value.numel() == 1,
                   "backward requires a scalar root, got "
                       << root->value.shape_str());
+  backward(root, Tensor::full(root->value.shape(), 1.0f));
+}
+
+void backward(const Value& root, Tensor seed) {
+  GSOUP_CHECK_MSG(root != nullptr, "backward on null value");
   GSOUP_CHECK_MSG(root->requires_grad,
                   "backward root does not require grad (inference mode?)");
+  GSOUP_CHECK_MSG(seed.shape() == root->value.shape(),
+                  "backward seed " << seed.shape_str() << " vs root "
+                                   << root->value.shape_str());
 
   // Iterative DFS post-order over the requires_grad subgraph.
   std::vector<Node*> topo;
@@ -85,7 +93,7 @@ void backward(const Value& root) {
     }
   }
 
-  root->ensure_grad().fill_(1.0f);
+  root->grad = std::move(seed);
   // topo is post-order (children after parents pushed), so iterate in
   // reverse to visit each node before its parents.
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {

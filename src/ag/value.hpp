@@ -73,4 +73,9 @@ Value make_node(Tensor value, std::vector<Value> parents,
 /// the `grad` of every reachable node with requires_grad.
 void backward(const Value& root);
 
+/// The same sweep from a root of any shape, seeded with dL/droot = seed
+/// (the root's shape; the root takes it as its gradient). Benches and
+/// tests drive one layer's backward with it.
+void backward(const Value& root, Tensor seed);
+
 }  // namespace gsoup::ag

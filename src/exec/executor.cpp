@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <string>
 #include <type_traits>
 
@@ -17,8 +16,8 @@ namespace gsoup::exec {
 namespace {
 
 // In-place building blocks for infer mode: identical numerics to the
-// tape ops (ag::matmul is zeros + matmul_acc; ag::add_bias / relu / elu
-// apply the same scalar expressions) without the per-op allocation.
+// tape ops (ag::matmul is zeros + matmul_acc; the epilogue is the kernel
+// ag::combine_bias_act runs) without the per-op allocation.
 
 /// out = x · w into a preallocated view; x and w at either storage type.
 template <class X, class W>
@@ -47,34 +46,6 @@ void check_storage(const Act& features, Precision plan, const char* where) {
                   where << ": " << precision_name(storage_precision(features))
                         << " features on a " << precision_name(plan)
                         << " plan");
-}
-
-void add_bias_inplace(Tensor& x, const Tensor& bias) {
-  const std::int64_t m = x.shape(0), n = x.shape(1);
-  GSOUP_CHECK_MSG(bias.numel() == n, "bias width mismatch");
-  float* __restrict__ px = x.data();
-  const float* __restrict__ pb = bias.data();
-#pragma omp parallel for schedule(static) if (m * n >= (1 << 15))
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* __restrict__ row = px + i * n;
-#pragma omp simd
-    for (std::int64_t j = 0; j < n; ++j) row[j] += pb[j];
-  }
-}
-
-void relu_inplace(Tensor& x) {
-  float* __restrict__ p = x.data();
-  const std::int64_t n = x.numel();
-#pragma omp parallel for simd schedule(static) if (n >= (1 << 15))
-  for (std::int64_t i = 0; i < n; ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
-}
-
-void elu_inplace(Tensor& x) {
-  float* __restrict__ p = x.data();
-  const std::int64_t n = x.numel();
-#pragma omp parallel for schedule(static) if (n >= (1 << 15))
-  for (std::int64_t i = 0; i < n; ++i)
-    p[i] = p[i] > 0.0f ? p[i] : std::expm1(p[i]);
 }
 
 /// Times the enclosing block into one of the executor's pre-resolved
@@ -171,8 +142,7 @@ ag::Value run_train(const LayerPlan& plan, const ag::Value& features,
         ag::Value agg = ag::spmm(
             ctx.gcn(), ctx.gcn_t(), hw, step.spmm_layout,
             ag::grad_enabled() ? ctx.spmm_layout_t() : nullptr);
-        h = ag::add_bias(agg, p.bias);
-        if (!step.last) h = ag::relu(h);
+        h = ag::combine_bias_act(agg, nullptr, p.bias, step.act);
         break;
       }
       case Arch::kSage: {
@@ -182,8 +152,7 @@ ag::Value run_train(const LayerPlan& plan, const ag::Value& features,
             ctx.mean(), ctx.mean_t(), h, step.spmm_layout,
             ag::grad_enabled() ? ctx.spmm_layout_t() : nullptr);
         ag::Value neigh_part = ag::matmul(agg, p.weight_neigh);
-        h = ag::add_bias(ag::add(self_part, neigh_part), p.bias);
-        if (!step.last) h = ag::relu(h);
+        h = ag::combine_bias_act(self_part, neigh_part, p.bias, step.act);
         break;
       }
       case Arch::kGat: {
@@ -201,8 +170,7 @@ ag::Value run_train(const LayerPlan& plan, const ag::Value& features,
         ag::Value agg = ag::gat_attention(ctx.raw(), ctx.raw_t(), hw, s_dst,
                                           s_src, step.heads, cfg.attn_slope,
                                           step.attn_layout, layout_t);
-        h = ag::add_bias(agg, p.bias);
-        if (!step.last) h = ag::elu(h);
+        h = ag::combine_bias_act(agg, nullptr, p.bias, step.act);
         break;
       }
     }
@@ -238,9 +206,9 @@ ag::Value run_train_blocks(const ModelConfig& cfg,
     ag::Value agg = ag::block_spmm(block, h);
     ag::Value neigh_part =
         ag::matmul(agg, params.at(layer_param_name(l, "weight_neigh")));
-    h = ag::add_bias(ag::add(self_part, neigh_part),
-                     params.at(layer_param_name(l, "bias")));
-    if (!last) h = ag::relu(h);
+    h = ag::combine_bias_act(self_part, neigh_part,
+                             params.at(layer_param_name(l, "bias")),
+                             epilogue_activation(cfg.arch, last));
   }
   return h;
 }
@@ -388,8 +356,7 @@ Tensor Executor::run_layer(const LayerStep& step, const StepParams& p,
         }
       }
       StageTimer t(stage_hist_, Stage::kEpilogue);
-      add_bias_inplace(out, *p.bias);
-      if (!step.last) relu_inplace(out);
+      ops::combine_bias_act_into(out, nullptr, p.bias, step.act, out);
       break;
     }
     case Arch::kSage: {
@@ -422,9 +389,15 @@ Tensor Executor::run_layer(const LayerStep& step, const StepParams& p,
         }
       }
       if (ops::gemm_can_combine_bias(num_dst, step.out_width, step.in_dim)) {
-        StageTimer t(stage_hist_, Stage::kGemm);
-        linear_into(agg, w.weight_neigh, out);
-        ops::matmul_combine_bias(h_dst, w.weight_self, *p.bias, out);
+        {
+          StageTimer t(stage_hist_, Stage::kGemm);
+          linear_into(agg, w.weight_neigh, out);
+          ops::matmul_combine_bias(h_dst, w.weight_self, *p.bias, out);
+        }
+        if (step.act != ops::Activation::kNone) {
+          StageTimer t(stage_hist_, Stage::kEpilogue);
+          ops::combine_bias_act_into(out, nullptr, nullptr, step.act, out);
+        }
       } else {
         Tensor neigh = ws((f_scratch + 1) % 3, num_dst, step.out_width);
         {
@@ -432,24 +405,8 @@ Tensor Executor::run_layer(const LayerStep& step, const StepParams& p,
           linear_into(h_dst, w.weight_self, out);
           linear_into(agg, w.weight_neigh, neigh);
         }
-        StageTimer epilogue_timer(stage_hist_, Stage::kEpilogue);
-        const std::int64_t m = out.shape(0), n = out.shape(1);
-        float* __restrict__ po = out.data();
-        const float* __restrict__ pn = neigh.data();
-        const float* __restrict__ pb = p.bias->data();
-#pragma omp parallel for schedule(static) if (m * n >= (1 << 15))
-        for (std::int64_t i = 0; i < m; ++i) {
-          float* __restrict__ orow = po + i * n;
-          const float* __restrict__ nrow = pn + i * n;
-#pragma omp simd
-          for (std::int64_t j = 0; j < n; ++j) {
-            orow[j] = (orow[j] + nrow[j]) + pb[j];
-          }
-        }
-      }
-      if (!step.last) {
         StageTimer t(stage_hist_, Stage::kEpilogue);
-        relu_inplace(out);
+        ops::combine_bias_act_into(out, &neigh, p.bias, step.act, out);
       }
       break;
     }
@@ -480,8 +437,7 @@ Tensor Executor::run_layer(const LayerStep& step, const StepParams& p,
         }
       }
       StageTimer t(stage_hist_, Stage::kEpilogue);
-      add_bias_inplace(out, *p.bias);
-      if (!step.last) elu_inplace(out);
+      ops::combine_bias_act_into(out, nullptr, p.bias, step.act, out);
       break;
     }
   }

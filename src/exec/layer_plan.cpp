@@ -21,6 +21,11 @@ const char* stage_name(Stage stage) {
   return "unknown";
 }
 
+ops::Activation epilogue_activation(Arch arch, bool last) {
+  if (last) return ops::Activation::kNone;
+  return arch == Arch::kGat ? ops::Activation::kElu : ops::Activation::kRelu;
+}
+
 LayerPlan::LayerPlan(const ModelConfig& config, const GraphContext& ctx,
                      ExecOptions options)
     : config_(config), options_(options), ctx_(&ctx) {
@@ -38,6 +43,7 @@ LayerPlan::LayerPlan(const ModelConfig& config, const GraphContext& ctx,
     step.in_dim = model.layer_in_dim(l);
     step.out_width = model.layer_out_width(l);
     step.heads = model.layer_heads(l);
+    step.act = epilogue_activation(config.arch, step.last);
     step.bias = layer_param_name(l, "bias");
     switch (config.arch) {
       case Arch::kGcn:

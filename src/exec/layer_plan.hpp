@@ -30,6 +30,7 @@
 #include "nn/graph_context.hpp"
 #include "nn/model.hpp"
 #include "tensor/half.hpp"
+#include "tensor/ops.hpp"
 
 namespace gsoup::exec {
 
@@ -64,6 +65,10 @@ inline constexpr int kNumStages = 5;
 /// label value in exported metrics.
 const char* stage_name(Stage stage);
 
+/// The activation a layer's epilogue applies: none on the last layer,
+/// ELU between GAT layers, ReLU between GCN and GraphSAGE layers.
+ops::Activation epilogue_activation(Arch arch, bool last);
+
 /// One lowered GNN layer: widths, resolved parameter names, and the kernel
 /// routing decided at compile time. Layout pointers alias the owning
 /// GraphContext's caches (nullptr -> raw CSR/span kernel path).
@@ -73,6 +78,9 @@ struct LayerStep {
   std::int64_t in_dim = 0;     ///< input feature width
   std::int64_t out_width = 0;  ///< output width (heads * per-head dim)
   std::int64_t heads = 1;      ///< GAT heads (1 for GCN/SAGE and last layer)
+  /// The epilogue's activation (epilogue_activation), which train and
+  /// infer both apply through ops::combine_bias_act_into.
+  ops::Activation act = ops::Activation::kNone;
 
   // Parameter names resolved once (empty when the arch has no such param).
   std::string weight;        ///< GCN/GAT dense weight

@@ -757,22 +757,99 @@ Tensor add(const Tensor& a, const Tensor& b) {
 }
 
 Tensor add_row_broadcast(const Tensor& a, const Tensor& bias) {
-  GSOUP_CHECK_MSG(a.rank() == 2 && bias.rank() == 1 &&
-                      bias.shape(0) == a.shape(1),
-                  "add_row_broadcast: bias " << bias.shape_str()
-                                             << " vs matrix " << a.shape_str());
-  const std::int64_t m = a.shape(0), n = a.shape(1);
-  Tensor c = Tensor::empty({m, n});
-  const float* __restrict__ pa = a.data();
-  const float* __restrict__ pbias = bias.data();
-  float* __restrict__ pc = c.data();
-#pragma omp parallel for schedule(static) if (m >= kParallelRowThreshold)
-  for (std::int64_t i = 0; i < m; ++i) {
-#pragma omp simd
-    for (std::int64_t j = 0; j < n; ++j)
-      pc[i * n + j] = pa[i * n + j] + pbias[j];
-  }
+  Tensor c = Tensor::empty(a.shape());
+  combine_bias_act_into(a, nullptr, &bias, Activation::kNone, c);
   return c;
+}
+
+namespace {
+
+/// (a + b) + bias at column j of one row, in the chain's order.
+template <bool kHasB, bool kHasBias>
+inline float combined(const float* arow, const float* brow,
+                      const float* pbias, std::int64_t j) {
+  float x = arow[j];
+  if constexpr (kHasB) x = x + brow[j];
+  if constexpr (kHasBias) x = x + pbias[j];
+  return x;
+}
+
+/// The epilogue. No __restrict__: `po` may be `pa`, and each element is
+/// read before it is written. ELU stores the pre-activations in the
+/// vector pass and applies itself in a second, scalar pass: expm1 is a
+/// call, and a branch per element skips it for x > 0. Folding the adds
+/// into that pass made each mispredicted sign branch wait on them, and
+/// short per-row loops around the call cost more again: both measured
+/// 3-8% slower than the two flat passes at 20000 x 64.
+template <Activation kAct, bool kHasB, bool kHasBias>
+void combine_rows(const float* pa, const float* pb, const float* pbias,
+                  float* po, std::int64_t m, std::int64_t n) {
+#pragma omp parallel for schedule(static) \
+    if (m * n >= kParallelNumelThreshold)
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* arow = pa + i * n;
+    const float* brow = kHasB ? pb + i * n : nullptr;
+    float* orow = po + i * n;
+#pragma omp simd
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float x = combined<kHasB, kHasBias>(arow, brow, pbias, j);
+      orow[j] = kAct == Activation::kRelu ? (x > 0.0f ? x : 0.0f) : x;
+    }
+  }
+  if constexpr (kAct == Activation::kElu) {
+    const std::int64_t total = m * n;
+#pragma omp parallel for schedule(static) if (total >= kParallelNumelThreshold)
+    for (std::int64_t k = 0; k < total; ++k) {
+      const float x = po[k];
+      po[k] = x > 0.0f ? x : std::expm1(x);
+    }
+  }
+}
+
+template <Activation kAct>
+void combine_rows(const float* pa, const float* pb, const float* pbias,
+                  float* po, std::int64_t m, std::int64_t n) {
+  if (pb != nullptr && pbias != nullptr) {
+    combine_rows<kAct, true, true>(pa, pb, pbias, po, m, n);
+  } else if (pb != nullptr) {
+    combine_rows<kAct, true, false>(pa, pb, pbias, po, m, n);
+  } else if (pbias != nullptr) {
+    combine_rows<kAct, false, true>(pa, pb, pbias, po, m, n);
+  } else {
+    combine_rows<kAct, false, false>(pa, pb, pbias, po, m, n);
+  }
+}
+
+}  // namespace
+
+void combine_bias_act_into(const Tensor& a, const Tensor* b,
+                           const Tensor* bias, Activation act, Tensor& out) {
+  GSOUP_CHECK_MSG(a.rank() == 2 && same_shape(a, out),
+                  "combine_bias_act: operand " << a.shape_str()
+                                               << " vs output "
+                                               << out.shape_str());
+  GSOUP_CHECK_MSG(b == nullptr || same_shape(a, *b),
+                  "combine_bias_act: addend " << b->shape_str() << " vs "
+                                              << a.shape_str());
+  const std::int64_t m = a.shape(0), n = a.shape(1);
+  GSOUP_CHECK_MSG(bias == nullptr || (bias->rank() == 1 &&
+                                      bias->shape(0) == n),
+                  "combine_bias_act: bias " << bias->shape_str()
+                                            << " vs matrix "
+                                            << a.shape_str());
+  const float* pb = b != nullptr ? b->data() : nullptr;
+  const float* pbias = bias != nullptr ? bias->data() : nullptr;
+  switch (act) {
+    case Activation::kNone:
+      combine_rows<Activation::kNone>(a.data(), pb, pbias, out.data(), m, n);
+      break;
+    case Activation::kRelu:
+      combine_rows<Activation::kRelu>(a.data(), pb, pbias, out.data(), m, n);
+      break;
+    case Activation::kElu:
+      combine_rows<Activation::kElu>(a.data(), pb, pbias, out.data(), m, n);
+      break;
+  }
 }
 
 Tensor mul(const Tensor& a, const Tensor& b) {

@@ -117,6 +117,19 @@ Tensor transpose(const Tensor& a);
 Tensor add(const Tensor& a, const Tensor& b);
 /// out[i,j] = a[i,j] + bias[j] (row broadcast).
 Tensor add_row_broadcast(const Tensor& a, const Tensor& bias);
+
+/// The activation a layer epilogue applies.
+enum class Activation : std::uint8_t { kNone, kRelu, kElu };
+
+/// The layer epilogue over rank-2 [m,n] operands:
+/// out = act((a + b) + bias), in the float order of add, then
+/// add_row_broadcast, then relu/elu. One vector pass; ELU takes a second,
+/// scalar pass in place for its expm1. `b` (same shape as `a`) and `bias`
+/// (length n) may each be null, which drops that term. `out` has a's
+/// shape and may alias `a`: the infer executor runs it in place. The
+/// training tape's `ag::combine_bias_act` runs the same kernel.
+void combine_bias_act_into(const Tensor& a, const Tensor* b,
+                           const Tensor* bias, Activation act, Tensor& out);
 Tensor mul(const Tensor& a, const Tensor& b);
 Tensor scale(const Tensor& a, float s);
 

@@ -12,6 +12,7 @@
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
 #include "test_helpers.hpp"
+#include "util/memory_tracker.hpp"
 #include "util/rng.hpp"
 
 namespace gsoup {
@@ -401,6 +402,168 @@ TEST(AutogradOps, AddBiasAndReluGradientsMatchSerialLoopsBitwise) {
   }
   EXPECT_TRUE(bits_equal(bias->grad, bias_expected));
   EXPECT_TRUE(bits_equal(x->grad, x_expected));
+}
+
+/// The op chain the epilogue node replaces: add → add_bias → relu/elu.
+ag::Value epilogue_chain(const ag::Value& a, const ag::Value& b,
+                         const ag::Value& bias, ops::Activation act) {
+  ag::Value pre = ag::add_bias(b ? ag::add(a, b) : a, bias);
+  switch (act) {
+    case ops::Activation::kRelu: return ag::relu(pre);
+    case ops::Activation::kElu: return ag::elu(pre);
+    case ops::Activation::kNone: break;
+  }
+  return pre;
+}
+
+const char* act_name(ops::Activation act) {
+  switch (act) {
+    case ops::Activation::kNone: return "none";
+    case ops::Activation::kRelu: return "relu";
+    case ops::Activation::kElu: return "elu";
+  }
+  return "?";
+}
+
+constexpr ops::Activation kActs[] = {
+    ops::Activation::kNone, ops::Activation::kRelu, ops::Activation::kElu};
+
+TEST(AutogradEpilogue, CombineBiasActMatchesChainBitwise) {
+  // Inputs that hit the edges of the masks: exact-zero and negative
+  // pre-activations, and an incoming gradient holding zeros of both signs.
+  const std::int64_t m = 257, n = 47;  // odd widths: vector tails
+  Rng rng(61);
+  const Tensor av = random_tensor({m, n}, rng);
+  Tensor bv = random_tensor({m, n}, rng);
+  const Tensor biasv = random_tensor({n}, rng);
+  Tensor seed = random_tensor({m, n}, rng);
+  Tensor a_prior = random_tensor({m, n}, rng);
+  for (std::int64_t i = 0; i < m; i += 5) {
+    for (std::int64_t j = 0; j < n; j += 3) {
+      bv.at(i, j) = -av.at(i, j) - biasv.at(j);  // (a + b) + bias == 0
+    }
+    seed.at(i, i % n) = (i % 2 == 0) ? 0.0f : -0.0f;
+  }
+
+  enum class AMode { kFresh, kHasGrad, kConstant };
+  enum class BMode { kNone, kGrad, kConstant, kAliasA };
+  for (const ops::Activation act : kActs) {
+    for (const BMode bmode :
+         {BMode::kNone, BMode::kGrad, BMode::kConstant, BMode::kAliasA}) {
+      for (const AMode amode :
+           {AMode::kFresh, AMode::kHasGrad, AMode::kConstant}) {
+        if (amode == AMode::kConstant && bmode == BMode::kAliasA) continue;
+        SCOPED_TRACE(::testing::Message()
+                     << "act=" << act_name(act) << " b=" << int(bmode)
+                     << " a=" << int(amode));
+        struct Leaves {
+          ag::Value a, b, bias;
+        };
+        const auto make = [&] {
+          Leaves l;
+          l.a = ag::make_leaf(av.clone(), amode != AMode::kConstant);
+          if (bmode == BMode::kGrad) l.b = ag::make_leaf(bv.clone(), true);
+          if (bmode == BMode::kConstant) l.b = ag::constant(bv.clone());
+          if (bmode == BMode::kAliasA) l.b = l.a;
+          l.bias = ag::make_leaf(biasv.clone(), true);
+          // A gradient that already holds a contribution from elsewhere.
+          if (amode == AMode::kHasGrad) l.a->grad = a_prior.clone();
+          return l;
+        };
+        const Leaves chain = make();
+        const Leaves fused = make();
+        const ag::Value want =
+            epilogue_chain(chain.a, chain.b, chain.bias, act);
+        const ag::Value got =
+            ag::combine_bias_act(fused.a, fused.b, fused.bias, act);
+        EXPECT_TRUE(bits_equal(got->value, want->value));
+        ag::backward(want, seed.clone());
+        ag::backward(got, seed.clone());
+        if (amode == AMode::kConstant) {
+          EXPECT_FALSE(fused.a->grad.defined());
+        } else {
+          EXPECT_TRUE(bits_equal(fused.a->grad, chain.a->grad));
+        }
+        EXPECT_TRUE(bits_equal(fused.bias->grad, chain.bias->grad));
+        if (bmode == BMode::kGrad) {
+          EXPECT_TRUE(bits_equal(fused.b->grad, chain.b->grad));
+          EXPECT_FALSE(fused.b->grad.shares_storage_with(fused.a->grad));
+        }
+        if (bmode == BMode::kConstant) EXPECT_FALSE(fused.b->grad.defined());
+      }
+    }
+  }
+}
+
+TEST(AutogradEpilogue, CombineBiasActGradient) {
+  // Finite differences against the analytic gradient, |Δ| ≤ atol + rtol·|g|
+  // per element. The loss weights the outputs unevenly (a matmul against
+  // a constant column) so every element's gradient differs; the
+  // pre-activations sit at least 0.2 away from ReLU's kink.
+  Rng rng(62);
+  for (const ops::Activation act : kActs) {
+    for (const bool with_b : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "act=" << act_name(act) << " with_b=" << with_b);
+      auto a = ag::make_leaf(random_tensor({6, 5}, rng), true);
+      auto b = with_b ? ag::make_leaf(random_tensor({6, 5}, rng), true)
+                      : ag::Value{};
+      auto bias = ag::make_leaf(random_tensor({5}, rng, 0.5f), true);
+      const Tensor pre = ops::add_row_broadcast(
+          with_b ? ops::add(a->value, b->value) : a->value, bias->value);
+      for (std::int64_t i = 0; i < pre.numel(); ++i) {
+        if (std::abs(pre.at(i)) < 0.2f) a->value.at(i) += 0.5f;
+      }
+      auto w = ag::constant(random_tensor({5, 1}, rng));
+      std::vector<ag::Value> leaves{a, bias};
+      if (with_b) leaves.push_back(b);
+      check_gradients(
+          [&] {
+            return ag::sum(ag::matmul(ag::combine_bias_act(a, b, bias, act), w));
+          },
+          leaves);
+    }
+  }
+}
+
+TEST(AutogradEpilogue, SageLayerTapePeaksBelowTheChain) {
+  // One GraphSAGE layer, forward then backward: H·Ws + A·Wn, bias, ReLU.
+  // The chain keeps the sum, the biased sum and the activation, and its
+  // backward makes a gradient for each; the node keeps its output and
+  // makes one masked gradient plus b's copy.
+  const std::int64_t rows = 2000, in = 32, out = 64;
+  Rng rng(63);
+  const Tensor hv = random_tensor({rows, in}, rng);
+  const Tensor aggv = random_tensor({rows, in}, rng);
+  const Tensor wsv = random_tensor({in, out}, rng);
+  const Tensor wnv = random_tensor({in, out}, rng);
+  const Tensor biasv = random_tensor({out}, rng);
+  const Tensor seed = random_tensor({rows, out}, rng);
+  const auto layer_peak = [&](bool fused) {
+    PeakMemoryScope scope;
+    {
+      auto h = ag::constant(hv);
+      auto agg = ag::constant(aggv);
+      auto ws = ag::make_leaf(wsv, true);
+      auto wn = ag::make_leaf(wnv, true);
+      auto bias = ag::make_leaf(biasv, true);
+      auto self_part = ag::matmul(h, ws);
+      auto neigh_part = ag::matmul(agg, wn);
+      auto y = fused ? ag::combine_bias_act(self_part, neigh_part, bias,
+                                            ops::Activation::kRelu)
+                     : epilogue_chain(self_part, neigh_part, bias,
+                                      ops::Activation::kRelu);
+      ag::backward(y, seed.clone());
+    }
+    return scope.peak_above_entry();
+  };
+  const std::size_t chain = layer_peak(false);
+  const std::size_t fused = layer_peak(true);
+  const std::size_t activation = rows * out * sizeof(float);
+  // Two fewer saved activations and two fewer gradients at the backward's
+  // peak (the seed copy counts on both sides).
+  EXPECT_LT(fused, chain);
+  EXPECT_GE(chain - fused, 2 * activation);
 }
 
 TEST(AutogradLoss, CrossEntropyMatchesManual) {
